@@ -6,6 +6,7 @@ Per pair (i, j) one layer applies, in order:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import cos, sin
 
 import numpy as np
@@ -21,16 +22,24 @@ _CX_MATRIX = np.array(
 _H_MATRIX = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
 
 
+def _rx_matrix(angle: float) -> np.ndarray:
+    c, s = cos(angle / 2), sin(angle / 2)
+    return np.array([[c, -1j * s], [-1j * s, c]])
+
+
+def _rz_matrix(angle: float) -> np.ndarray:
+    p = np.exp(-1j * angle / 2)
+    return np.array([[p, 0], [0, p.conjugate()]])
+
+
 def rx_gate(qubit: int, angle: float) -> UnitaryGate:
     """exp(-i * angle * X / 2)."""
-    c, s = cos(angle / 2), sin(angle / 2)
-    return UnitaryGate((qubit,), np.array([[c, -1j * s], [-1j * s, c]]))
+    return UnitaryGate((qubit,), _rx_matrix(angle))
 
 
 def rz_gate(qubit: int, angle: float) -> UnitaryGate:
     """exp(-i * angle * Z / 2)."""
-    p = np.exp(-1j * angle / 2)
-    return UnitaryGate((qubit,), np.array([[p, 0], [0, p.conjugate()]]))
+    return UnitaryGate((qubit,), _rz_matrix(angle))
 
 
 def cx_gate(control: int, target: int) -> UnitaryGate:
@@ -74,24 +83,38 @@ class SubsystemLayout:
 
 @dataclass(frozen=True, eq=False)
 class CircuitLayer:
-    """One timestep of the reservoir circuit, bound to an input value."""
+    """One timestep of the reservoir circuit: the 5-gate block with angle
+    s = scale * input_value on every pair of the layout."""
 
     layout: SubsystemLayout
-    gates: tuple
     input_value: float
     scale: float
+
+    @cached_property
+    def block(self) -> tuple:
+        """The matrices of RX_i, RX_j, CX_{i,j}, RZ_j, CX_{i,j}, shared by
+        every pair (single-qubit gates as 2x2, CX as 4x4)."""
+        s = self.scale * self.input_value
+        rx = _rx_matrix(s)
+        return (rx, rx, _CX_MATRIX, _rz_matrix(s), _CX_MATRIX)
+
+    @cached_property
+    def gates(self) -> tuple:
+        """The block on each pair in layout order, as 5m targeted gates."""
+        rx, _, cx, rz, _ = self.block
+        gates = []
+        for i, j in self.layout.pairs:
+            gates += [UnitaryGate((i,), rx), UnitaryGate((j,), rx),
+                      UnitaryGate((i, j), cx), UnitaryGate((j,), rz),
+                      UnitaryGate((i, j), cx)]
+        return tuple(gates)
 
 
 def build_layer(u: float, layout: SubsystemLayout, a: float) -> CircuitLayer:
     """The m identical 5-gate blocks with rotation angle s = a * u."""
     if not np.isfinite(u) or not np.isfinite(a):
         raise ValueError(f"input and scale must be finite, got u={u}, a={a}")
-    s = a * u
-    gates = []
-    for i, j in layout.pairs:
-        gates += [rx_gate(i, s), rx_gate(j, s), cx_gate(i, j),
-                  rz_gate(j, s), cx_gate(i, j)]
-    return CircuitLayer(layout, tuple(gates), float(u), float(a))
+    return CircuitLayer(layout, float(u), float(a))
 
 
 def apply_layer(state: DensityMatrix, layer: CircuitLayer) -> DensityMatrix:

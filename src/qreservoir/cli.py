@@ -1,8 +1,7 @@
 """Batch experiment runner: INI experiment configs in, CSV/JSON reports out.
 
 Subcommands: run, sweep-esn, export-qasm, analyze. All randomness derives from
-the single top-level seed, so outputs are byte-identical across runs and worker
-counts.
+the single top-level seed, so outputs are byte-identical across runs.
 """
 from __future__ import annotations
 
@@ -13,14 +12,14 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import __version__
 from .analysis import gap_summary, stationarity_report
-from .benchmarks import (EsnSweepReport, InputSignalSpec, NarmaSpec,
+from .benchmarks import (DEFAULT_NODE_COUNTS, DEFAULT_RADIUS_GRID,
+                         EsnSweepReport, InputSignalSpec, NarmaSpec,
                          REFERENCE_T_START, esn_sweep, gen_input, gen_narma,
                          gen_synthetic_sensor, preprocess_diff)
 from .circuit import SubsystemLayout, export_qasm
@@ -49,7 +48,6 @@ class ExperimentConfig:
     seed: int = 0
     trials: int = 10
     output_dir: str = "out"
-    workers: int = 1
     # reservoir
     num_qubits: int = 8
     pairs: tuple = ()            # empty -> adjacent pairing
@@ -73,8 +71,8 @@ class ExperimentConfig:
     class_washout: int = 40
     # ESN sweep
     esn_narma_order: int = 2
-    esn_nodes: tuple = (2, 5, 10, 20, 50)
-    esn_radii: tuple = tuple(np.round(np.arange(1, 101) * 0.01, 2))
+    esn_nodes: tuple = DEFAULT_NODE_COUNTS
+    esn_radii: tuple = DEFAULT_RADIUS_GRID
     esn_trials: int = 100
     esn_input_weights: str = "pm1"
 
@@ -83,7 +81,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown task {self.task!r}; valid tasks: {', '.join(TASKS)}")
         for name in ("trials", "num_qubits", "input_length", "folds",
-                     "esn_trials", "workers"):
+                     "esn_trials"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.scale is None:
@@ -101,7 +99,7 @@ class ExperimentConfig:
 
 
 _CONFIG_SCHEMA = {
-    "experiment": ("task", "seed", "trials", "output_dir", "workers"),
+    "experiment": ("task", "seed", "trials", "output_dir"),
     "reservoir": ("num_qubits", "pairs", "scale", "shots", "profile"),
     "split": ("washout", "train", "test"),
     "input": ("length", "t_start"),
@@ -205,7 +203,6 @@ def parse_config(source, base_dir: str = None) -> ExperimentConfig:
         seed=get("experiment", "seed", int, 0),
         trials=get("experiment", "trials", int, 10),
         output_dir=get("experiment", "output_dir", str, "out"),
-        workers=get("experiment", "workers", int, 1),
         num_qubits=get("reservoir", "num_qubits", int, 8),
         pairs=get("reservoir", "pairs", _parse_pairs, ()),
         scale=get("reservoir", "scale", float, None),
@@ -225,7 +222,7 @@ def parse_config(source, base_dir: str = None) -> ExperimentConfig:
         noise_amplitude=get("classify", "noise_amplitude", float, 0.02),
         class_washout=get("classify", "washout", int, 40),
         esn_narma_order=get("esn", "narma_order", int, 2),
-        esn_nodes=get("esn", "nodes", int_tuple, (2, 5, 10, 20, 50)),
+        esn_nodes=get("esn", "nodes", int_tuple, DEFAULT_NODE_COUNTS),
         esn_trials=get("esn", "trials", int, 100),
         esn_input_weights=get("esn", "input_weights", str, "pm1"),
     )
@@ -271,40 +268,45 @@ def _manifest(config: ExperimentConfig, extra=None) -> dict:
     return payload
 
 
-def _narma_series(config: ExperimentConfig):
+def _narma_series(config: ExperimentConfig, order: int):
+    """The configured reference input and its NARMA target of the given order."""
     spec = InputSignalSpec(length=config.input_length, t_start=config.t_start)
     u = gen_input(spec)
-    order = _NARMA_ORDERS[config.task]
     nspec = NarmaSpec.narma2() if order == 2 else NarmaSpec.general(order)
     return u, gen_narma(nspec, u)
 
 
+def _write_gap_summary(path, report) -> list:
+    """Channels ranked by gap_summary, one CSV row each; returns the ranking."""
+    gaps = gap_summary(report)
+    np.savetxt(path,
+               np.array([(g.channel, g.abs_mean_gap, g.log_var_gap) for g in gaps]),
+               delimiter=",", header="channel,abs_mean_gap,log_var_gap",
+               comments="", fmt=["%d", "%.17g", "%.17g"])
+    return gaps
+
+
 def _run_narma(config: ExperimentConfig, out: str) -> dict:
-    u, y = _narma_series(config)
+    u, y = _narma_series(config, _NARMA_ORDERS[config.task])
     split = (config.washout, config.train, config.test)
     lr = fit_linear_baseline(u, y, split, feature_lag=config.lr_feature_lag)
 
-    def one_trial(trial: int):
+    w0, w1 = config.washout, config.washout + config.train
+    t_idx = np.concatenate([np.arange(w0 + 1, w1 + 1),
+                            np.arange(w1 + 1, w1 + config.test + 1)])
+    test_nmses = []
+    train_nmses = []
+    for trial in range(config.trials):
         rc = config.reservoir(derive_seed(config.seed, trial))
         feats = run_reservoir(u, rc)
         ftr, fte = split_series(feats, *split)
-        w0, w1 = config.washout, config.washout + config.train
         weights = fit_regression(ftr, y[w0:w1])
         pred_tr = predict(weights, ftr)
         pred_te = predict(weights, fte)
-        return (feats, pred_tr, pred_te,
-                nmse(pred_tr, y[w0:w1]), nmse(pred_te, y[w1:w1 + config.test]))
-
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        trials = list(pool.map(one_trial, range(config.trials)))
-
-    w0, w1 = config.washout, config.washout + config.train
-    test_nmses = []
-    train_nmses = []
-    for trial, (feats, pred_tr, pred_te, ntr, nte) in enumerate(trials):
         feats.to_csv(os.path.join(out, f"features_trial{trial:02d}.csv"))
-        t_idx = np.concatenate([np.arange(w0 + 1, w1 + 1),
-                                np.arange(w1 + 1, w1 + config.test + 1)])
+        if trial == 0:
+            stationarity_report(feats, split).to_csv(
+                os.path.join(out, "stationarity_features.csv"))
         rows = np.column_stack([
             t_idx,
             np.concatenate([y[w0:w1], y[w1:w1 + config.test]]),
@@ -314,13 +316,10 @@ def _run_narma(config: ExperimentConfig, out: str) -> dict:
         np.savetxt(os.path.join(out, f"predictions_trial{trial:02d}.csv"), rows,
                    delimiter=",", header="t,target,prediction,is_test",
                    comments="", fmt=["%d", "%.17g", "%.17g", "%d"])
-        train_nmses.append(ntr)
-        test_nmses.append(nte)
+        train_nmses.append(nmse(pred_tr, y[w0:w1]))
+        test_nmses.append(nmse(pred_te, y[w1:w1 + config.test]))
 
-    split_tuple = (config.washout, config.train, config.test)
-    stationarity_report(trials[0][0], split_tuple).to_csv(
-        os.path.join(out, "stationarity_features.csv"))
-    stationarity_report(y, split_tuple).to_csv(
+    stationarity_report(y, split).to_csv(
         os.path.join(out, "stationarity_targets.csv"))
 
     test_arr = np.array(test_nmses)
@@ -348,15 +347,12 @@ def _run_narma(config: ExperimentConfig, out: str) -> dict:
 def _classify_blocks(config: ExperimentConfig, dataset):
     """QR feature block per sample: preprocess, run the reservoir, keep rows
     after the classification washout."""
-    def one_sample(item):
-        index, series = item
-        u = preprocess_diff(series)
+    blocks = []
+    for index, series in enumerate(dataset.series):
         rc = config.reservoir(derive_seed(config.seed, 2, index))
-        feats = run_reservoir(u, rc)
-        return feats.values[config.class_washout:]
-
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        return list(pool.map(one_sample, enumerate(dataset.series)))
+        feats = run_reservoir(preprocess_diff(series), rc)
+        blocks.append(feats.values[config.class_washout:])
+    return blocks
 
 
 def _run_classify(config: ExperimentConfig, out: str) -> dict:
@@ -435,11 +431,8 @@ def _sweep_to_files(report: EsnSweepReport, out: str) -> dict:
 
 
 def _run_esn_sweep(config: ExperimentConfig, out: str) -> dict:
-    spec = InputSignalSpec(length=config.input_length, t_start=config.t_start)
-    u = gen_input(spec)
     order = config.esn_narma_order
-    nspec = NarmaSpec.narma2() if order == 2 else NarmaSpec.general(order)
-    y = gen_narma(nspec, u)
+    u, y = _narma_series(config, order)
     report = esn_sweep(u, y, (config.washout, config.train, config.test),
                        node_counts=config.esn_nodes, radii=config.esn_radii,
                        trials=config.esn_trials,
@@ -452,7 +445,7 @@ def _run_esn_sweep(config: ExperimentConfig, out: str) -> dict:
 
 def _run_stationarity(config: ExperimentConfig, out: str) -> dict:
     # drives the reservoir with the reference input and its second-order series
-    u, y = _narma_series(replace(config, task="narma2"))
+    u, y = _narma_series(config, 2)
     rc = config.reservoir(derive_seed(config.seed, 0))
     feats = run_reservoir(u, rc)
     split = (config.washout, config.train, config.test)
@@ -460,11 +453,7 @@ def _run_stationarity(config: ExperimentConfig, out: str) -> dict:
     rep = stationarity_report(feats, split)
     rep.to_csv(os.path.join(out, "stationarity_features.csv"))
     stationarity_report(y, split).to_csv(os.path.join(out, "stationarity_targets.csv"))
-    gaps = gap_summary(rep)
-    np.savetxt(os.path.join(out, "gap_summary.csv"),
-               np.array([(g.channel, g.abs_mean_gap, g.log_var_gap) for g in gaps]),
-               delimiter=",", header="channel,abs_mean_gap,log_var_gap",
-               comments="", fmt=["%d", "%.17g", "%.17g"])
+    gaps = _write_gap_summary(os.path.join(out, "gap_summary.csv"), rep)
     with open(os.path.join(out, "stationarity.txt"), "w", encoding="utf-8") as fh:
         fh.write(rep.to_text())
     return {
@@ -525,8 +514,6 @@ def _load_config_from_args(args) -> ExperimentConfig:
         updates["seed"] = args.seed
     if args.output_dir is not None:
         updates["output_dir"] = args.output_dir
-    if args.workers is not None:
-        updates["workers"] = args.workers
     return replace(config, **updates) if updates else config
 
 
@@ -534,7 +521,6 @@ def _add_common(sub):
     sub.add_argument("--config", required=True, help="experiment config (INI)")
     sub.add_argument("--seed", type=int, default=None, help="override the config seed")
     sub.add_argument("--output-dir", default=None, help="override the output directory")
-    sub.add_argument("--workers", type=int, default=None, help="parallel worker count")
 
 
 def main(argv=None) -> int:
@@ -590,13 +576,8 @@ def main(argv=None) -> int:
             if args.output_dir:
                 os.makedirs(args.output_dir, exist_ok=True)
                 rep.to_csv(os.path.join(args.output_dir, "stationarity.csv"))
-                gaps = gap_summary(rep)
-                np.savetxt(
-                    os.path.join(args.output_dir, "gap_summary.csv"),
-                    np.array([(g.channel, g.abs_mean_gap, g.log_var_gap)
-                              for g in gaps]),
-                    delimiter=",", header="channel,abs_mean_gap,log_var_gap",
-                    comments="", fmt=["%d", "%.17g", "%.17g"])
+                _write_gap_summary(
+                    os.path.join(args.output_dir, "gap_summary.csv"), rep)
     except (QReservoirError, OSError, ValueError, IndexError) as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(error, sort_keys=True), file=sys.stderr)

@@ -15,9 +15,9 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .errors import ProfileError
-from .circuit import CircuitLayer, apply_layer  # noqa: F401  (re-exported context)
+from .circuit import CircuitLayer
 from .qstate import (DensityMatrix, KrausChannel, UnitaryGate,
-                     _apply_superop_tensor, apply_channel, apply_unitary)
+                     _apply_superop_tensor)
 
 _PAULI = {
     "I": np.eye(2, dtype=np.complex128),
@@ -152,28 +152,23 @@ def _kraus_superop(ops) -> np.ndarray:
 
 
 @lru_cache(maxsize=128)
-def _noise_plan(profile: DeviceNoiseProfile, layout):
-    """Input-independent channels for one timestep, built once per profile.
+def _noise_plan(profile: DeviceNoiseProfile, n: int):
+    """Input-independent pieces of one n-qubit timestep, built once per profile.
 
-    Returns (dep1 by qubit, dep2 by target pair, crosstalk phase diagonal or
-    None, idle channels in application order, superop pieces for the composed
-    per-pair fast path). The crosstalk unitaries are all diagonal, so their
-    product collapses to a single phase vector.
+    Returns (crosstalk phase diagonal or None, gate-noise superoperators on a
+    pair (i, j) as (1-qubit depolarizing on i, on j, 2-qubit depolarizing on
+    both), each None when off, composed one-qubit idle superoperator tensor or
+    None). The crosstalk unitaries are all diagonal, so their product collapses
+    to a single phase vector.
     """
-    n = layout.num_qubits
-    dep1 = {}
-    dep2 = {}
-    fast = {}
     i2 = np.eye(2, dtype=np.complex128)
+    dep1_i = dep1_j = dep2_ij = None
     if profile.p1 > 0.0:
-        dep1 = {q: depolarizing_channel(profile.p1, 1, (q,)) for q in range(n)}
-        ops = dep1[0].operators
-        fast["dep1_first"] = _kraus_superop([np.kron(k, i2) for k in ops])
-        fast["dep1_second"] = _kraus_superop([np.kron(i2, k) for k in ops])
+        ops = depolarizing_channel(profile.p1, 1, (0,)).operators
+        dep1_i = _kraus_superop([np.kron(k, i2) for k in ops])
+        dep1_j = _kraus_superop([np.kron(i2, k) for k in ops])
     if profile.p2 > 0.0:
-        dep2 = {pair: depolarizing_channel(profile.p2, 2, pair)
-                for pair in layout.pairs}
-        fast["dep2"] = _kraus_superop(
+        dep2_ij = _kraus_superop(
             depolarizing_channel(profile.p2, 2, (0, 1)).operators)
     phases = None
     if profile.zz_theta != 0.0 and profile.topology.edges:
@@ -184,113 +179,65 @@ def _noise_plan(profile: DeviceNoiseProfile, layout):
             zj = 1.0 - 2.0 * ((basis >> (n - 1 - j)) & 1)
             signs += zi * zj
         phases = np.exp(-0.5j * profile.zz_theta * signs)
-    idle = []
-    idle_sup = None
+    idle = None
     if profile.gamma_idle > 0.0:
-        idle.extend(amplitude_damping_channel(profile.gamma_idle, q)
-                    for q in range(n))
-        idle_sup = _kraus_superop(idle[0].operators)
+        idle = _kraus_superop(
+            amplitude_damping_channel(profile.gamma_idle, 0).operators)
     if profile.lambda_idle > 0.0:
-        idle.extend(phase_damping_channel(profile.lambda_idle, q)
-                    for q in range(n))
         sup = _kraus_superop(phase_damping_channel(profile.lambda_idle, 0).operators)
-        idle_sup = sup if idle_sup is None else sup @ idle_sup
-    if idle_sup is not None:
-        fast["idle"] = idle_sup.reshape((2,) * 4)
-    return dep1, dep2, phases, tuple(idle), fast
+        idle = sup if idle is None else sup @ idle
+    if idle is not None:
+        idle = idle.reshape((2,) * 4)
+    return phases, (dep1_i, dep1_j, dep2_ij), idle
 
 
-def _ansatz_block(layer: CircuitLayer):
-    """The five shared gate matrices when the layer is the standard per-pair
-    block [RX_i, RX_j, CX, RZ_j, CX] repeated with identical matrices on every
-    pair; None for any other gate list."""
-    pairs = layer.layout.pairs
-    gates = layer.gates
-    if len(gates) != 5 * len(pairs):
-        return None
-    first = gates[:5]
-    for k, (i, j) in enumerate(pairs):
-        g = gates[5 * k: 5 * k + 5]
-        if (g[0].targets != (i,) or g[1].targets != (j,)
-                or g[2].targets != (i, j) or g[3].targets != (j,)
-                or g[4].targets != (i, j)):
-            return None
-        if k and not all(np.array_equal(a.matrix, b.matrix)
-                         for a, b in zip(g, first)):
-            return None
-    return tuple(g.matrix for g in first)
-
-
-def _pair_block_superop(mats, fast, p1_on: bool, p2_on: bool) -> np.ndarray:
+def _pair_block_superop(mats, gate_noise) -> np.ndarray:
     """Compose one pair's gates and gate-noise channels into a single 2-qubit
     superoperator tensor. Exact: all factors act on the same pair."""
     m0, m1, m2, m3, m4 = mats
+    dep1_i, dep1_j, dep2_ij = gate_noise
     i2 = np.eye(2, dtype=np.complex128)
-    seq = []
 
     def unitary(u):
-        seq.append(np.kron(u, u.conj()))
+        return np.kron(u, u.conj())
 
-    unitary(np.kron(m0, i2))
-    if p1_on:
-        seq.append(fast["dep1_first"])
-    unitary(np.kron(i2, m1))
-    if p1_on:
-        seq.append(fast["dep1_second"])
-    unitary(m2)
-    if p2_on:
-        seq.append(fast["dep2"])
-    unitary(np.kron(i2, m3))
-    if p1_on:
-        seq.append(fast["dep1_second"])
-    unitary(m4)
-    if p2_on:
-        seq.append(fast["dep2"])
-    total = reduce(lambda acc, t: t @ acc, seq)
+    seq = [unitary(np.kron(m0, i2)), dep1_i,
+           unitary(np.kron(i2, m1)), dep1_j,
+           unitary(m2), dep2_ij,
+           unitary(np.kron(i2, m3)), dep1_j,
+           unitary(m4), dep2_ij]
+    total = reduce(lambda acc, t: t @ acc, [t for t in seq if t is not None])
     return total.reshape((2,) * 8)
 
 
 def apply_device_noise(state: DensityMatrix, profile: DeviceNoiseProfile,
                        layer: CircuitLayer) -> DensityMatrix:
-    """One full noisy timestep: the layer's gates interleaved with gate noise,
-    then per-layer crosstalk, then per-qubit damping.
+    """One full noisy timestep: the layer's pair blocks with gate noise folded
+    in, then per-layer crosstalk, then per-qubit damping.
     """
     n = state.num_qubits
     topo = profile.topology
     if topo.num_qubits not in (0, n):
         raise ProfileError(
             f"profile topology is for {topo.num_qubits} qubits, state has {n}")
+    for i, j in topo.edges:  # normalised so that i < j
+        if j >= n:
+            raise ProfileError(
+                f"profile topology edge {i}-{j} out of range for {n} qubits")
     if layer.layout.num_qubits != n:
         raise ValueError(
             f"layer is for {layer.layout.num_qubits} qubits, state has {n}")
-    dep1, dep2, zz_phases, idle, fast = _noise_plan(profile, layer.layout)
-    block_mats = _ansatz_block(layer)
-    if block_mats is not None:
-        block = _pair_block_superop(block_mats, fast,
-                                    profile.p1 > 0.0, profile.p2 > 0.0)
-        for pair in layer.layout.pairs:
-            state = _apply_superop_tensor(state, block, pair)
-    else:
-        for gate in layer.gates:
-            state = apply_unitary(state, gate)
-            if gate.num_targets == 1:
-                if dep1:
-                    state = apply_channel(state, dep1[gate.targets[0]])
-            elif profile.p2 > 0.0:
-                channel = dep2.get(gate.targets)
-                if channel is None:  # gate outside the layout's pair list
-                    channel = depolarizing_channel(profile.p2, 2, gate.targets)
-                state = apply_channel(state, channel)
+    zz_phases, gate_noise, idle = _noise_plan(profile, n)
+    block = _pair_block_superop(layer.block, gate_noise)
+    for pair in layer.layout.pairs:
+        state = _apply_superop_tensor(state, block, pair)
     if zz_phases is not None:
         m = state.matrix * zz_phases[:, None]
         m = m * zz_phases.conj()[None, :]
         state = DensityMatrix(n, m, check=False)
-    if block_mats is not None and "idle" in fast:
+    if idle is not None:
         for q in range(n):
-            state = _apply_superop_tensor(state, fast["idle"], (q,))
-    else:
-        for channel in idle:
-            state = apply_channel(state, channel)
+            state = _apply_superop_tensor(state, idle, (q,))
     return state
 
 

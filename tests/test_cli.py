@@ -44,7 +44,7 @@ def write_narma_config(tmp_path, **overrides):
 def test_parse_config_defaults():
     cfg = parse_config("[experiment]\ntask = narma2\n")
     assert cfg.task == "narma2"
-    assert (cfg.seed, cfg.trials, cfg.workers) == (0, 10, 1)
+    assert (cfg.seed, cfg.trials) == (0, 10)
     assert (cfg.washout, cfg.train, cfg.test) == (10, 70, 20)
     assert cfg.num_qubits == 8 and cfg.shots == 8192
     assert cfg.scale == 2.0
@@ -78,8 +78,8 @@ def test_parse_config_rejects_unknown_names():
 def test_parse_config_value_validation():
     with pytest.raises(ConfigError):
         parse_config("[experiment]\ntask = narma2\ntrials = 0\n")
-    with pytest.raises(ConfigError):
-        parse_config("[experiment]\ntask = narma2\nworkers = 0\n")
+    with pytest.raises(ConfigError, match=r"unknown field 'workers'"):
+        parse_config("[experiment]\ntask = narma2\nworkers = 2\n")
     with pytest.raises(ConfigError):
         parse_config("[experiment]\ntask = narma2\n[reservoir]\nshots = 0\n")
 
@@ -131,7 +131,7 @@ def test_derive_seed_is_deterministic_and_spreads():
 def test_run_narma_outputs_and_reproducibility(tmp_path):
     cfg = parse_config(write_narma_config(tmp_path))
     out1 = replace(cfg, output_dir=str(tmp_path / "run1"))
-    out2 = replace(cfg, output_dir=str(tmp_path / "run2"), workers=3)
+    out2 = replace(cfg, output_dir=str(tmp_path / "run2"))
     path1 = run_experiment(out1)
     run_experiment(out2)
 
@@ -156,7 +156,7 @@ def test_run_narma_outputs_and_reproducibility(tmp_path):
                      "stationarity_targets.csv", "summary.json"]
     assert path1 == str(tmp_path / "run1" / "summary.json")
 
-    # same seed, different worker count: byte-identical artifacts
+    # same seed, second run: byte-identical artifacts
     for name in names:
         a = (tmp_path / "run1" / name).read_bytes()
         b = (tmp_path / "run2" / name).read_bytes()
@@ -280,7 +280,18 @@ def test_main_run_and_analyze_round_trip(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "phase statistics" in text and "train t=5..24" in text
     assert (an_dir / "stationarity.csv").exists()
-    assert (an_dir / "gap_summary.csv").exists()
+
+    # the stationarity task evolves the same exact features and writes the
+    # same gap table for the same split
+    st_config = write_narma_config(tmp_path, task="stationarity")
+    st_out = tmp_path / "st_out"
+    assert main(["run", "--config", str(st_config),
+                 "--output-dir", str(st_out)]) == 0
+    capsys.readouterr()
+    assert (st_out / "features.csv").read_bytes() == \
+        (out / "features_trial00.csv").read_bytes()
+    assert (an_dir / "gap_summary.csv").read_bytes() == \
+        (st_out / "gap_summary.csv").read_bytes()
 
 
 def test_main_seed_override_changes_manifest(tmp_path, capsys):

@@ -5,14 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qreservoir import (CircuitLayer, DensityMatrix, DeviceNoiseProfile,
-                        ProfileError, SubsystemLayout, Topology,
-                        amplitude_damping_channel, apply_channel,
-                        apply_device_noise, apply_layer, apply_unitary,
-                        basis_state, build_layer, cx_gate, depolarizing_channel,
-                        load_noise_profile, maximally_mixed, phase_damping_channel,
-                        plus_state, preset_profile, zero_noise,
-                        zz_crosstalk_gate)
+from qreservoir import (DensityMatrix, DeviceNoiseProfile, ProfileError,
+                        SubsystemLayout, Topology, amplitude_damping_channel,
+                        apply_channel, apply_device_noise, apply_layer,
+                        apply_unitary, basis_state, build_layer,
+                        depolarizing_channel, load_noise_profile,
+                        maximally_mixed, phase_damping_channel, plus_state,
+                        preset_profile, zero_noise, zz_crosstalk_gate)
 
 PROFILE_DIR = Path(__file__).resolve().parent.parent / "profiles"
 
@@ -217,10 +216,14 @@ def test_preset_profile_topologies():
 
 # --------------------------------------------------- composed device step
 
-@pytest.mark.parametrize("name", ["strong-dense", "weak-sparse"])
-def test_device_step_matches_sequential_reference(name):
+@pytest.mark.parametrize("name, layout", [
+    pytest.param("strong-dense", SubsystemLayout.default(4), id="strong-dense"),
+    pytest.param("weak-sparse", SubsystemLayout.default(4), id="weak-sparse"),
+    pytest.param("strong-dense", SubsystemLayout(4, ((0, 3), (1, 2))),
+                 id="strong-dense-pairs-0-3-1-2"),
+])
+def test_device_step_matches_sequential_reference(name, layout):
     profile = preset_profile(name, 4)
-    layout = SubsystemLayout.default(4)
     st_fast = st_ref = plus_state(4)
     rng = np.random.default_rng(8)
     for u in rng.uniform(0, 0.2, size=4):
@@ -278,32 +281,22 @@ def test_device_step_zero_profile_reduces_to_the_bare_layer():
     assert np.abs(got.matrix - want.matrix).max() < 1e-13
 
 
-def test_device_step_handles_non_standard_gate_order():
-    # reversed gate list defeats the per-pair composition, forcing the
-    # gate-by-gate route; the reference must still agree
-    profile = preset_profile("strong-dense", 4)
-    base = build_layer(0.17, SubsystemLayout.default(4), 2.0)
-    layer = CircuitLayer(base.layout, tuple(reversed(base.gates)),
-                         base.input_value, base.scale)
-    st = plus_state(4)
-    got = apply_device_noise(st, profile, layer)
-    want = sequential_step(st, profile, layer)
-    assert np.abs(got.matrix - want.matrix).max() < 1e-12
-
-
-def test_device_step_two_qubit_gate_off_the_pair_list():
-    profile = DeviceNoiseProfile(p1=0.01, p2=0.04)
-    layout = SubsystemLayout.default(4)
-    layer = CircuitLayer(layout, (cx_gate(0, 2), cx_gate(1, 3)), 0.0, 2.0)
-    st = random_density(4, 11)
-    got = apply_device_noise(st, profile, layer)
-    want = sequential_step(st, profile, layer)
-    assert np.abs(got.matrix - want.matrix).max() < 1e-12
-
-
 def test_device_step_size_mismatches():
     layer = build_layer(0.1, SubsystemLayout.default(4), 2.0)
     with pytest.raises(ProfileError):
         apply_device_noise(plus_state(4), preset_profile("strong-dense", 8), layer)
     with pytest.raises(ValueError):
         apply_device_noise(plus_state(2), preset_profile("strong-dense", 2), layer)
+
+
+def test_device_step_rejects_crosstalk_edge_outside_the_register():
+    # a topology without num_qubits is not size-checked against the state,
+    # so each edge must be; edge 0-9 on 4 qubits once gave wrong features
+    profile = load_noise_profile("[crosstalk]\ntheta = 0.3\n"
+                                 "[topology]\nedges = 0-9\n")
+    layer = build_layer(0.1, SubsystemLayout.default(4), 2.0)
+    with pytest.raises(ProfileError, match="0-9"):
+        apply_device_noise(plus_state(4), profile, layer)
+    inside = load_noise_profile("[crosstalk]\ntheta = 0.3\n"
+                                "[topology]\nedges = 0-3\n")
+    apply_device_noise(plus_state(4), inside, layer)
