@@ -303,8 +303,8 @@ class EsnSweepReport:
 
 def esn_sweep(inputs, targets, split, node_counts=DEFAULT_NODE_COUNTS,
               radii=DEFAULT_RADIUS_GRID, trials: int = 100,
-              input_weight_style: str = "pm1", seed: int = 0,
-              rcond: float = 1e-10) -> EsnSweepReport:
+              input_weight_style: str = "pm1",
+              seed: int = 0) -> EsnSweepReport:
     """NMSE statistics over the (nodes x radius x trial) grid.
 
     global_average: mean over every (radius, trial) pair.
@@ -346,7 +346,7 @@ def esn_sweep(inputs, targets, split, node_counts=DEFAULT_NODE_COUNTS,
                 x = np.tanh(np.einsum("bji,bj->bi", w_r, x) + wins * u[t])
                 feats[:, t, :] = x
             aug = np.concatenate([feats, np.ones((trials, m, 1))], axis=2)
-            w_out = np.linalg.pinv(aug[:, tr, :], rcond=rcond) @ y[tr]
+            w_out = np.linalg.pinv(aug[:, tr, :], rcond=1e-10) @ y[tr]
             pred = np.einsum("btk,bk->bt", aug[:, te, :], w_out)
             nmse_grid[ri] = ((pred - y[te]) ** 2).sum(axis=1) / (y[te] ** 2).sum()
         per_radius = nmse_grid.mean(axis=1)

@@ -6,8 +6,6 @@ the single top-level seed, so outputs are byte-identical across runs.
 from __future__ import annotations
 
 import argparse
-import configparser
-import io
 import json
 import math
 import os
@@ -25,7 +23,9 @@ from .benchmarks import (DEFAULT_NODE_COUNTS, DEFAULT_RADIUS_GRID,
 from .circuit import SubsystemLayout, export_qasm
 from .engine import EXACT, FeatureSeries, ReservoirConfig, run_reservoir, split_series
 from .errors import ConfigError, QReservoirError
+from .inifile import parse_pairs, read_ini
 from .noise import DeviceNoiseProfile, load_noise_profile, zero_noise
+from .qstate import check_capacity
 from .readout import (fit_classifier, fit_linear_baseline,
                       fit_linear_classifier_baseline, fit_regression, k_fold_cv,
                       nmse, predict, predict_class, stratified_folds)
@@ -87,6 +87,17 @@ class ExperimentConfig:
         if self.scale is None:
             object.__setattr__(
                 self, "scale", math.pi if self.task == "classify" else 2.0)
+        # reject what the run would only fail on after its first outputs
+        check_capacity(self.num_qubits)
+        try:
+            self.layout()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        self.profile.topology.check_register(self.num_qubits)
+        if self.task == "classify" and not 2 <= self.folds <= self.samples_per_class:
+            raise ConfigError(
+                f"classify needs 2 <= folds <= samples_per_class, got "
+                f"folds = {self.folds}, samples_per_class = {self.samples_per_class}")
 
     def layout(self) -> SubsystemLayout:
         if self.pairs:
@@ -98,137 +109,79 @@ class ExperimentConfig:
                                self.shots, seed)
 
 
-_CONFIG_SCHEMA = {
-    "experiment": ("task", "seed", "trials", "output_dir"),
-    "reservoir": ("num_qubits", "pairs", "scale", "shots", "profile"),
-    "split": ("washout", "train", "test"),
-    "input": ("length", "t_start"),
-    "narma": ("lr_feature_lag",),
-    "classify": ("classes", "samples_per_class", "timesteps", "folds",
-                 "noise_amplitude", "washout"),
-    "esn": ("narma_order", "nodes", "radius_min", "radius_max", "radius_step",
-            "trials", "input_weights"),
+def _cast_shots(raw: str):
+    if raw == EXACT:
+        return EXACT
+    shots = int(raw)
+    if shots < 1:
+        raise ValueError(raw)
+    return shots
+
+
+def _int_tuple(raw: str) -> tuple:
+    return tuple(int(v) for v in raw.replace(",", " ").split())
+
+
+# (section, key) -> (ExperimentConfig field, cast); an absent key keeps the
+# field's default. task, profile and the radius_* keys are read on their own.
+_FIELDS = {
+    ("experiment", "seed"): ("seed", int),
+    ("experiment", "trials"): ("trials", int),
+    ("experiment", "output_dir"): ("output_dir", str),
+    ("reservoir", "num_qubits"): ("num_qubits", int),
+    ("reservoir", "pairs"): ("pairs", parse_pairs),
+    ("reservoir", "scale"): ("scale", float),
+    ("reservoir", "shots"): ("shots", _cast_shots),
+    ("split", "washout"): ("washout", int),
+    ("split", "train"): ("train", int),
+    ("split", "test"): ("test", int),
+    ("input", "length"): ("input_length", int),
+    ("input", "t_start"): ("t_start", int),
+    ("narma", "lr_feature_lag"): ("lr_feature_lag", int),
+    ("classify", "classes"): ("num_classes", int),
+    ("classify", "samples_per_class"): ("samples_per_class", int),
+    ("classify", "timesteps"): ("timesteps", int),
+    ("classify", "folds"): ("folds", int),
+    ("classify", "noise_amplitude"): ("noise_amplitude", float),
+    ("classify", "washout"): ("class_washout", int),
+    ("esn", "narma_order"): ("esn_narma_order", int),
+    ("esn", "nodes"): ("esn_nodes", _int_tuple),
+    ("esn", "trials"): ("esn_trials", int),
+    ("esn", "input_weights"): ("esn_input_weights", str),
 }
-
-
-def _parse_pairs(text: str) -> tuple:
-    pairs = []
-    for chunk in text.replace(",", " ").split():
-        a, _, b = chunk.partition("-")
-        try:
-            pairs.append((int(a), int(b)))
-        except ValueError:
-            raise ConfigError(f"pair {chunk!r} is not of the form i-j") from None
-    return tuple(pairs)
+_RADIUS_KEYS = ("radius_min", "radius_max", "radius_step")
+_CONFIG_KEYS = {*_FIELDS, ("experiment", "task"), ("reservoir", "profile"),
+                *(("esn", key) for key in _RADIUS_KEYS)}
 
 
 def parse_config(source, base_dir: str = None) -> ExperimentConfig:
-    """Parse an INI experiment config from a path or document text. Relative
-    profile paths resolve against the config file's directory."""
-    text = None
-    if isinstance(source, os.PathLike):
-        source = os.fspath(source)
-    if isinstance(source, str):
-        if "\n" in source or source.lstrip().startswith("["):
-            text = source
-        elif os.path.exists(source):
-            base_dir = base_dir or os.path.dirname(os.path.abspath(source))
-            with open(source, encoding="utf-8") as fh:
-                text = fh.read()
-        else:
-            raise ConfigError(f"config file not found: {source}")
-    else:
-        raise ConfigError(f"expected a path or document text, got {type(source)!r}")
-    base_dir = base_dir or "."
-
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    try:
-        parser.read_file(io.StringIO(text))
-    except configparser.Error as exc:
-        raise ConfigError(f"malformed config: {exc}") from exc
-    for section in parser.sections():
-        if section not in _CONFIG_SCHEMA:
-            raise ConfigError(f"unknown config section [{section}]")
-        for key in parser[section]:
-            if key not in _CONFIG_SCHEMA[section]:
-                raise ConfigError(f"unknown field {key!r} in section [{section}]")
-
-    def get(section, key, cast, default):
-        if not parser.has_option(section, key):
-            return default
-        raw = parser.get(section, key)
-        try:
-            return cast(raw)
-        except (ValueError, TypeError):
-            raise ConfigError(
-                f"field {key!r} in [{section}] has invalid value {raw!r}") from None
-
-    if not parser.has_option("experiment", "task"):
+    """Parse an INI experiment config from a path or document text (see
+    `inifile.read_ini`). A relative profile path resolves against `base_dir`,
+    which defaults to the config file's directory."""
+    get, file_dir = read_ini(source, _CONFIG_KEYS, ConfigError, "config")
+    task = get("experiment", "task", str)
+    if task is None:
         raise ConfigError("config must set 'task' in [experiment]")
-    task = parser.get("experiment", "task").strip()
-
-    def cast_shots(raw):
-        raw = raw.strip()
-        if raw == EXACT:
-            return EXACT
-        v = int(raw)
-        if v < 1:
-            raise ValueError(raw)
-        return v
-
-    profile_path = get("reservoir", "profile", str, "").strip()
-    profile = zero_noise()
+    kwargs = {}
+    for (section, key), (name, cast) in _FIELDS.items():
+        value = get(section, key, cast)
+        if value is not None:
+            kwargs[name] = value
+    profile_path = get("reservoir", "profile", str)
     if profile_path:
-        resolved = profile_path
-        if not os.path.isabs(resolved):
-            resolved = os.path.join(base_dir, resolved)
-        profile = load_noise_profile(resolved)
-        profile_path = resolved
-
-    radii = None
-    if any(parser.has_option("esn", k) for k in ("radius_min", "radius_max", "radius_step")):
-        lo = get("esn", "radius_min", float, 0.01)
-        hi = get("esn", "radius_max", float, 1.0)
-        step = get("esn", "radius_step", float, 0.01)
+        profile_path = os.path.join(base_dir or file_dir or ".", profile_path)
+        kwargs.update(profile_path=profile_path,
+                      profile=load_noise_profile(profile_path))
+    if any(get("esn", key, str) is not None for key in _RADIUS_KEYS):
+        grid = DEFAULT_RADIUS_GRID  # an absent radius_* key keeps its bound or step
+        lo = get("esn", "radius_min", float, grid[0])
+        hi = get("esn", "radius_max", float, grid[-1])
+        step = get("esn", "radius_step", float, grid[1] - grid[0])
         if not 0 < lo <= hi or step <= 0:
             raise ConfigError(f"invalid radius grid [{lo}, {hi}] step {step}")
         count = int(round((hi - lo) / step)) + 1
-        radii = tuple(np.round(lo + step * np.arange(count), 10))
-
-    def int_tuple(raw):
-        return tuple(int(v) for v in raw.replace(",", " ").split())
-
-    kwargs = dict(
-        task=task,
-        seed=get("experiment", "seed", int, 0),
-        trials=get("experiment", "trials", int, 10),
-        output_dir=get("experiment", "output_dir", str, "out"),
-        num_qubits=get("reservoir", "num_qubits", int, 8),
-        pairs=get("reservoir", "pairs", _parse_pairs, ()),
-        scale=get("reservoir", "scale", float, None),
-        shots=get("reservoir", "shots", cast_shots, 8192),
-        profile_path=profile_path,
-        profile=profile,
-        washout=get("split", "washout", int, 10),
-        train=get("split", "train", int, 70),
-        test=get("split", "test", int, 20),
-        input_length=get("input", "length", int, 100),
-        t_start=get("input", "t_start", int, REFERENCE_T_START),
-        lr_feature_lag=get("narma", "lr_feature_lag", int, 0),
-        num_classes=get("classify", "classes", int, 3),
-        samples_per_class=get("classify", "samples_per_class", int, 20),
-        timesteps=get("classify", "timesteps", int, 90),
-        folds=get("classify", "folds", int, 10),
-        noise_amplitude=get("classify", "noise_amplitude", float, 0.02),
-        class_washout=get("classify", "washout", int, 40),
-        esn_narma_order=get("esn", "narma_order", int, 2),
-        esn_nodes=get("esn", "nodes", int_tuple, DEFAULT_NODE_COUNTS),
-        esn_trials=get("esn", "trials", int, 100),
-        esn_input_weights=get("esn", "input_weights", str, "pm1"),
-    )
-    if radii is not None:
-        kwargs["esn_radii"] = radii
-    return ExperimentConfig(**kwargs)
+        kwargs["esn_radii"] = tuple(np.round(lo + step * np.arange(count), 10))
+    return ExperimentConfig(task, **kwargs)
 
 
 def _write_json(path, payload) -> None:
@@ -542,9 +495,9 @@ def main(argv=None) -> int:
 
     p_an = subs.add_parser("analyze", help="stationarity report for a features CSV")
     p_an.add_argument("--features", required=True, help="features CSV (t,z0,z1,...)")
-    p_an.add_argument("--washout", type=int, default=10)
-    p_an.add_argument("--train", type=int, default=70)
-    p_an.add_argument("--test", type=int, default=20)
+    p_an.add_argument("--washout", type=int, default=ExperimentConfig.washout)
+    p_an.add_argument("--train", type=int, default=ExperimentConfig.train)
+    p_an.add_argument("--test", type=int, default=ExperimentConfig.test)
     p_an.add_argument("--variance", choices=("population", "sample"),
                       default="population")
     p_an.add_argument("--output-dir", default=None,

@@ -6,9 +6,6 @@ stand-in for an otherwise uncharacterized device map.
 """
 from __future__ import annotations
 
-import configparser
-import io
-import os
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -16,6 +13,7 @@ import numpy as np
 
 from .errors import ProfileError
 from .circuit import CircuitLayer
+from .inifile import parse_pairs, read_ini
 from .qstate import (DensityMatrix, KrausChannel, UnitaryGate,
                      _apply_superop_tensor)
 
@@ -50,6 +48,17 @@ class Topology:
                 raise ProfileError(f"duplicate topology edge {i}-{j}")
             norm.append(key)
         object.__setattr__(self, "edges", tuple(norm))
+
+    def check_register(self, n: int) -> None:
+        """Raise ProfileError unless this topology fits an n-qubit register.
+        A topology without num_qubits is not size-checked, so each edge is."""
+        if self.num_qubits not in (0, n):
+            raise ProfileError(
+                f"profile topology is for {self.num_qubits} qubits, register has {n}")
+        for i, j in self.edges:  # normalised so that i < j
+            if j >= n:
+                raise ProfileError(
+                    f"profile topology edge {i}-{j} out of range for {n} qubits")
 
 
 @dataclass(frozen=True)
@@ -216,14 +225,7 @@ def apply_device_noise(state: DensityMatrix, profile: DeviceNoiseProfile,
     in, then per-layer crosstalk, then per-qubit damping.
     """
     n = state.num_qubits
-    topo = profile.topology
-    if topo.num_qubits not in (0, n):
-        raise ProfileError(
-            f"profile topology is for {topo.num_qubits} qubits, state has {n}")
-    for i, j in topo.edges:  # normalised so that i < j
-        if j >= n:
-            raise ProfileError(
-                f"profile topology edge {i}-{j} out of range for {n} qubits")
+    profile.topology.check_register(n)
     if layer.layout.num_qubits != n:
         raise ValueError(
             f"layer is for {layer.layout.num_qubits} qubits, state has {n}")
@@ -241,90 +243,31 @@ def apply_device_noise(state: DensityMatrix, profile: DeviceNoiseProfile,
     return state
 
 
-_SCHEMA = {
-    "gates": ("p1", "p2"),
-    "idle": ("gamma", "lambda"),
-    "crosstalk": ("theta",),
-    "readout": ("r01", "r10"),
-    "topology": ("num_qubits", "edges"),
+_PROFILE_KEYS = {
+    ("gates", "p1"), ("gates", "p2"), ("idle", "gamma"), ("idle", "lambda"),
+    ("crosstalk", "theta"), ("readout", "r01"), ("readout", "r10"),
+    ("topology", "num_qubits"), ("topology", "edges"),
 }
 
 
-def _parse_edges(text: str):
-    edges = []
-    for chunk in text.replace(",", " ").split():
-        parts = chunk.split("-")
-        if len(parts) != 2:
-            raise ProfileError(f"topology edge {chunk!r} is not of the form i-j")
-        try:
-            edges.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise ProfileError(f"topology edge {chunk!r} is not of the form i-j") from None
-    return tuple(edges)
-
-
 def load_noise_profile(source) -> DeviceNoiseProfile:
-    """Parse a noise profile from an INI-style document or a path to one.
-
-    Anything containing a newline or starting with '[' is treated as document
-    text; otherwise as a filesystem path. Missing sections default to zero
-    noise and an unspecified topology.
+    """Parse a noise profile from an INI document or a path to one (see
+    `inifile.read_ini`). Absent keys keep the zero-noise default: no noise and
+    an unspecified topology.
     """
-    text = None
-    if isinstance(source, os.PathLike):
-        source = os.fspath(source)
-    if isinstance(source, str):
-        if "\n" in source or source.lstrip().startswith("[") or source.strip() == "":
-            text = source
-        elif os.path.exists(source):
-            with open(source, encoding="utf-8") as fh:
-                text = fh.read()
-        else:
-            raise ProfileError(f"profile file not found: {source}")
-    else:
-        raise ProfileError(f"expected a path or document text, got {type(source)!r}")
-
-    parser = configparser.ConfigParser()
-    try:
-        parser.read_file(io.StringIO(text))
-    except configparser.Error as exc:
-        raise ProfileError(f"malformed profile document: {exc}") from exc
-
-    for section in parser.sections():
-        if section not in _SCHEMA:
-            raise ProfileError(f"unknown profile section [{section}]")
-        for key in parser[section]:
-            if key not in _SCHEMA[section]:
-                raise ProfileError(f"unknown field {key!r} in section [{section}]")
-
-    def get_float(section, key, default=0.0):
-        if not parser.has_option(section, key):
-            return default
-        raw = parser.get(section, key)
-        try:
-            return float(raw)
-        except ValueError:
-            raise ProfileError(f"field {key!r} in [{section}] is not a number: {raw!r}") from None
-
-    num_qubits = 0
-    edges = ()
-    if parser.has_section("topology"):
-        if parser.has_option("topology", "num_qubits"):
-            raw = parser.get("topology", "num_qubits")
-            try:
-                num_qubits = int(raw)
-            except ValueError:
-                raise ProfileError(f"field 'num_qubits' is not an integer: {raw!r}") from None
-        if parser.has_option("topology", "edges"):
-            edges = _parse_edges(parser.get("topology", "edges"))
+    get, _ = read_ini(source, _PROFILE_KEYS, ProfileError, "profile")
+    zero = zero_noise()
     return DeviceNoiseProfile(
-        p1=get_float("gates", "p1"),
-        p2=get_float("gates", "p2"),
-        gamma_idle=get_float("idle", "gamma"),
-        lambda_idle=get_float("idle", "lambda"),
-        zz_theta=get_float("crosstalk", "theta"),
-        readout_flip=(get_float("readout", "r01"), get_float("readout", "r10")),
-        topology=Topology(num_qubits, edges),
+        p1=get("gates", "p1", float, zero.p1),
+        p2=get("gates", "p2", float, zero.p2),
+        gamma_idle=get("idle", "gamma", float, zero.gamma_idle),
+        lambda_idle=get("idle", "lambda", float, zero.lambda_idle),
+        zz_theta=get("crosstalk", "theta", float, zero.zz_theta),
+        readout_flip=(get("readout", "r01", float, zero.readout_flip[0]),
+                      get("readout", "r10", float, zero.readout_flip[1])),
+        topology=Topology(
+            get("topology", "num_qubits", int, zero.topology.num_qubits),
+            get("topology", "edges", parse_pairs, zero.topology.edges)),
     )
 
 

@@ -29,6 +29,12 @@ def _as_complex(m) -> np.ndarray:
     return out
 
 
+def check_capacity(n) -> None:
+    """Raise CapacityError unless n is a register size dense simulation supports."""
+    if not isinstance(n, int) or not 1 <= n <= MAX_QUBITS:
+        raise CapacityError(f"num_qubits must be in [1, {MAX_QUBITS}], got {n!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """State of an n-qubit register: Hermitian, trace-one, PSD complex matrix."""
@@ -43,8 +49,7 @@ class DensityMatrix:
             # per-gate hot loop
             return
         n = self.num_qubits
-        if not isinstance(n, int) or not 1 <= n <= MAX_QUBITS:
-            raise CapacityError(f"num_qubits must be in [1, {MAX_QUBITS}], got {n!r}")
+        check_capacity(n)
         m = _as_complex(self.matrix)
         object.__setattr__(self, "matrix", m)
         d = 1 << n
@@ -72,15 +77,13 @@ class DensityMatrix:
 
 def plus_state(n: int) -> DensityMatrix:
     """|+><+| on every qubit: the uniform matrix with all entries 1/2^n."""
-    if not isinstance(n, int) or not 1 <= n <= MAX_QUBITS:
-        raise CapacityError(f"num_qubits must be in [1, {MAX_QUBITS}], got {n!r}")
+    check_capacity(n)
     d = 1 << n
     return DensityMatrix(n, np.full((d, d), 1.0 / d, dtype=np.complex128))
 
 
 def maximally_mixed(n: int) -> DensityMatrix:
-    if not isinstance(n, int) or not 1 <= n <= MAX_QUBITS:
-        raise CapacityError(f"num_qubits must be in [1, {MAX_QUBITS}], got {n!r}")
+    check_capacity(n)
     d = 1 << n
     return DensityMatrix(n, np.eye(d, dtype=np.complex128) / d)
 

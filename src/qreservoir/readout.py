@@ -59,17 +59,13 @@ class ReadoutWeights:
         return cls(np.loadtxt(path, delimiter=",", ndmin=2))
 
 
-def _solve(x_aug: np.ndarray, y: np.ndarray, rcond: float, ridge: float) -> np.ndarray:
-    if ridge > 0.0:
-        gram = x_aug.T @ x_aug + ridge * np.eye(x_aug.shape[1])
-        return np.linalg.solve(gram, x_aug.T @ y)
-    w, *_ = np.linalg.lstsq(x_aug, y, rcond=rcond)
+def _solve(x_aug: np.ndarray, y: np.ndarray) -> np.ndarray:
+    w, *_ = np.linalg.lstsq(x_aug, y, rcond=DEFAULT_RCOND)
     return w
 
 
-def fit_regression(features, targets, rcond: float = DEFAULT_RCOND,
-                   ridge: float = 0.0) -> ReadoutWeights:
-    """Minimum-norm least-squares readout (SVD cutoff rcond * sigma_max)."""
+def fit_regression(features, targets) -> ReadoutWeights:
+    """Minimum-norm least-squares readout (SVD cutoff DEFAULT_RCOND * sigma_max)."""
     rows = _feature_rows(features)
     y = np.asarray(targets, dtype=np.float64)
     if y.shape[0] != rows.shape[0]:
@@ -79,7 +75,7 @@ def fit_regression(features, targets, rcond: float = DEFAULT_RCOND,
         raise ValueError("need at least one sample")
     if not np.isfinite(rows).all() or not np.isfinite(y).all():
         raise ValueError("non-finite features or targets")
-    w = _solve(_with_bias(rows), y if y.ndim > 1 else y[:, None], rcond, ridge)
+    w = _solve(_with_bias(rows), y if y.ndim > 1 else y[:, None])
     return ReadoutWeights(w)
 
 
@@ -115,8 +111,7 @@ def _one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return out
 
 
-def fit_classifier(blocks, labels, num_classes=None, rcond: float = DEFAULT_RCOND,
-                   ridge: float = 0.0) -> ReadoutWeights:
+def fit_classifier(blocks, labels, num_classes=None) -> ReadoutWeights:
     """Concatenate per-sample feature blocks (rows = timesteps), repeat each
     sample's one-hot target at every timestep, solve by pseudoinverse.
     """
@@ -138,7 +133,7 @@ def fit_classifier(blocks, labels, num_classes=None, rcond: float = DEFAULT_RCON
         raise ValueError(f"labels must cover 0..{k - 1}; missing classes {missing}")
     x = np.vstack(blocks)
     y = np.repeat(_one_hot(labels, k), [b.shape[0] for b in blocks], axis=0)
-    return ReadoutWeights(_solve(_with_bias(x), y, rcond, ridge))
+    return ReadoutWeights(_solve(_with_bias(x), y))
 
 
 @dataclass(frozen=True)
@@ -230,8 +225,8 @@ class LinearBaselineResult:
     nmse_test: float
 
 
-def fit_linear_baseline(inputs, targets, split, feature_lag: int = 1,
-                        rcond: float = DEFAULT_RCOND) -> LinearBaselineResult:
+def fit_linear_baseline(inputs, targets, split,
+                        feature_lag: int = 1) -> LinearBaselineResult:
     """Scalar linear model: target row t is predicted from input row
     t - feature_lag (lag 1 pairs y_{t+1} with u_t; lag 0 pairs same-index
     rows, which is the alignment the shipped reference statistics use).
@@ -256,7 +251,7 @@ def fit_linear_baseline(inputs, targets, split, feature_lag: int = 1,
     tr = np.arange(washout, washout + train)
     te = np.arange(washout + train, washout + train + test)
     x_tr = np.column_stack([lagged(tr), np.ones(tr.size)])
-    w, *_ = np.linalg.lstsq(x_tr, y[tr], rcond=rcond)
+    w, *_ = np.linalg.lstsq(x_tr, y[tr], rcond=DEFAULT_RCOND)
     pred_tr = x_tr @ w
     pred_te = np.column_stack([lagged(te), np.ones(te.size)]) @ w
     return LinearBaselineResult(
@@ -264,14 +259,13 @@ def fit_linear_baseline(inputs, targets, split, feature_lag: int = 1,
         nmse_train=nmse(pred_tr, y[tr]), nmse_test=nmse(pred_te, y[te]))
 
 
-def linear_classifier_pipeline(rcond: float = DEFAULT_RCOND, ridge: float = 0.0):
+def linear_classifier_pipeline():
     """CV pipeline for the scalar linear classifier baseline: per-timestep
     scores from the raw series, then winner-takes-all."""
     def fit(train_samples, train_labels):
         num_classes = int(np.max(train_labels)) + 1
         blocks = [_feature_rows(s) for s in train_samples]
-        weights = fit_classifier(blocks, train_labels, num_classes=num_classes,
-                                 rcond=rcond, ridge=ridge)
+        weights = fit_classifier(blocks, train_labels, num_classes=num_classes)
 
         def predict_one(sample):
             return predict_class(weights, _feature_rows(sample)).class_index

@@ -1,12 +1,13 @@
 """Experiment config parsing, batch runner outputs, and the console entry point."""
 import json
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from qreservoir import ConfigError, FeatureSeries, REFERENCE_T_START
+from qreservoir import (CapacityError, ConfigError, FeatureSeries, ProfileError,
+                        REFERENCE_T_START, load_noise_profile)
 from qreservoir.cli import (ExperimentConfig, TASKS, derive_seed,
                             export_circuits, main, parse_config, run_experiment)
 
@@ -103,6 +104,64 @@ def test_parse_config_radius_grid():
         parse_config("[experiment]\ntask = esn-sweep\n[esn]\nradius_min = 0\n")
 
 
+def test_parse_config_reads_every_key(tmp_path):
+    (tmp_path / "noisy.ini").write_text(NOISY_PROFILE)
+    text = """
+[experiment]
+task = classify  ; inline comments follow a value
+seed = 7
+trials = 3
+output_dir = elsewhere  # in either style
+[reservoir]
+num_qubits = 4
+pairs = 0-3 1-2
+scale = 1.25
+shots = 100
+profile = noisy.ini
+[split]
+washout = 5
+train = 30
+test = 8
+[input]
+length = 50
+t_start = 4
+[narma]
+lr_feature_lag = 1
+[classify]
+classes = 4
+samples_per_class = 6
+timesteps = 45
+folds = 3
+noise_amplitude = 0.05
+washout = 12
+[esn]
+narma_order = 5
+nodes = 3, 7
+radius_min = 0.2
+radius_max = 0.6
+radius_step = 0.2
+trials = 4
+input_weights = 01
+"""
+    expected = dict(
+        task="classify", seed=7, trials=3, output_dir="elsewhere",
+        num_qubits=4, pairs=((0, 3), (1, 2)), scale=1.25, shots=100,
+        profile_path=os.path.join(str(tmp_path), "noisy.ini"),
+        profile=load_noise_profile(NOISY_PROFILE),
+        washout=5, train=30, test=8, input_length=50, t_start=4,
+        lr_feature_lag=1, num_classes=4, samples_per_class=6, timesteps=45,
+        folds=3, noise_amplitude=0.05, class_washout=12, esn_narma_order=5,
+        esn_nodes=(3, 7), esn_radii=(0.2, 0.4, 0.6), esn_trials=4,
+        esn_input_weights="01")
+    assert set(expected) == {f.name for f in fields(ExperimentConfig)}
+    cfg = parse_config(text, base_dir=str(tmp_path))
+    defaults = ExperimentConfig(task="classify")
+    for name, value in expected.items():
+        assert getattr(cfg, name) == value, name
+        if name != "task":
+            assert getattr(defaults, name) != value, name
+
+
 def test_parse_config_resolves_profile_relative_to_file(tmp_path):
     path = write_narma_config(tmp_path)
     cfg = parse_config(path)
@@ -117,6 +176,31 @@ def test_experiment_config_direct_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig(task="narma2", trials=0)
     assert "classify" in TASKS
+
+
+@pytest.mark.parametrize("reservoir, classify, error", [
+    ("num_qubits = 3", "", ConfigError),
+    ("num_qubits = 16", "", CapacityError),
+    ("num_qubits = 4\nprofile = sized8.ini", "", ProfileError),
+    ("num_qubits = 4\nprofile = edge09.ini", "", ProfileError),
+    ("num_qubits = 2", "samples_per_class = 2\nfolds = 5", ConfigError),
+], ids=["odd-register", "over-capacity", "profile-size", "profile-edge",
+        "folds-over-samples"])
+def test_bad_experiment_fails_before_any_output(tmp_path, capsys, reservoir,
+                                                classify, error):
+    (tmp_path / "sized8.ini").write_text("[topology]\nnum_qubits = 8\n")
+    (tmp_path / "edge09.ini").write_text(
+        "[crosstalk]\ntheta = 0.1\n[topology]\nedges = 0-9\n")
+    path = tmp_path / "bad.ini"
+    path.write_text("[experiment]\ntask = classify\n"
+                    f"[reservoir]\nshots = exact\n{reservoir}\n"
+                    f"[classify]\ntimesteps = 10\nwashout = 2\n{classify}\n")
+    with pytest.raises(error):
+        parse_config(path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--output-dir", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == error.__name__
+    assert not out.exists()
 
 
 def test_derive_seed_is_deterministic_and_spreads():

@@ -157,6 +157,10 @@ def test_load_profile_from_text_and_defaults():
     assert prof.p2 == 0.0
     assert prof.topology == Topology(0, ())
     assert load_noise_profile("").is_zero()
+    commented = load_noise_profile("[crosstalk]\ntheta = 0.06  # strong\n"
+                                   "[topology]\nedges = 0-1 1-2  ; chain\n")
+    assert commented.zz_theta == 0.06
+    assert commented.topology.edges == ((0, 1), (1, 2))
 
 
 def test_load_profile_parses_every_section():

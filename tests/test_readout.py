@@ -63,15 +63,6 @@ def test_regression_train_optimum_cannot_be_improved():
         assert np.mean((predict(bumped, x) - y) ** 2) >= base - 1e-12
 
 
-def test_tiny_ridge_matches_pseudoinverse():
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal((30, 4))
-    y = rng.standard_normal(30)
-    w0 = fit_regression(x, y).matrix
-    w1 = fit_regression(x, y, ridge=1e-10).matrix
-    assert np.abs(w0 - w1).max() < 1e-6
-
-
 def test_readout_weights_validation_and_csv(tmp_path):
     with pytest.raises(ValueError):
         ReadoutWeights(np.array([[1.0]]))  # no room for a bias row
