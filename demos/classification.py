@@ -9,8 +9,8 @@ import numpy as np
 
 from qreservoir import (ReservoirConfig, SubsystemLayout, fit_classifier,
                         fit_linear_classifier_baseline, gen_synthetic_sensor,
-                        k_fold_cv, predict_class, preprocess_diff,
-                        preset_profile, run_reservoir)
+                        k_fold_cv, linear_classifier_pipeline, predict_class,
+                        preprocess_diff, preset_profile, run_reservoir)
 
 WASHOUT = 40  # keep rows t=41..89 of each 89-step feature block
 FOLDS = 5
@@ -22,18 +22,12 @@ config = ReservoirConfig(SubsystemLayout.default(4), scale=float(np.pi),
                          profile=profile)
 
 print("running", len(dataset.samples), "reservoir trajectories...")
-blocks = [run_reservoir(preprocess_diff(s), config).values[WASHOUT:]
-          for s in dataset.series]
+inputs = [preprocess_diff(s) for s in dataset.series]
+blocks = [run_reservoir(u, config).values[WASHOUT:] for u in inputs]
 labels = dataset.labels
 
-
-def pipeline(train_blocks, train_labels):
-    w = fit_classifier(train_blocks, train_labels, num_classes=3)
-    return lambda b: predict_class(w, b).class_index
-
-
-qr = k_fold_cv(blocks, labels, FOLDS, pipeline, seed=0)
-raw = [preprocess_diff(s)[WASHOUT:] for s in dataset.series]
+qr = k_fold_cv(blocks, labels, FOLDS, linear_classifier_pipeline(), seed=0)
+raw = [u[WASHOUT:] for u in inputs]
 linear = fit_linear_classifier_baseline(raw, labels, k=FOLDS, seed=0)
 
 print(f"\nQR      {FOLDS}-fold accuracy: {qr.mean_accuracy:.3f} "

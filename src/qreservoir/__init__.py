@@ -29,12 +29,11 @@ from .readout import (ClassPrediction, CvReport, LinearBaselineResult,
                       k_fold_cv, linear_classifier_pipeline, nmse, predict,
                       predict_class, stratified_folds)
 from .benchmarks import (DEFAULT_NODE_COUNTS, DEFAULT_RADIUS_GRID,
-                         REFERENCE_T_START, EsnConfig, EsnNodeResult,
-                         EsnSweepReport, InputSignalSpec, LabeledSeriesDataset,
-                         NarmaSpec, build_esn, class_mean_waveform, esn_step,
-                         esn_sweep, gen_input, gen_narma, gen_synthetic_sensor,
-                         input_signal_value, narma_task, preprocess_diff,
-                         reference_input_spec, run_esn)
+                         REFERENCE_T_START, EsnNodeResult, EsnSweepReport,
+                         InputSignalSpec, LabeledSeriesDataset, NarmaSpec,
+                         class_mean_waveform, esn_step, esn_sweep, gen_input,
+                         gen_narma, gen_synthetic_sensor, input_signal_value,
+                         narma_task, preprocess_diff, run_esn)
 from .analysis import (ChannelGap, StationarityReport, gap_summary,
                        stationarity_report)
 
@@ -65,9 +64,9 @@ __all__ = [
     "fit_linear_classifier_baseline",
     # benchmarks
     "InputSignalSpec", "input_signal_value", "gen_input",
-    "reference_input_spec", "REFERENCE_T_START", "NarmaSpec", "gen_narma",
+    "REFERENCE_T_START", "NarmaSpec", "gen_narma",
     "narma_task", "preprocess_diff", "LabeledSeriesDataset",
-    "gen_synthetic_sensor", "class_mean_waveform", "EsnConfig", "build_esn",
+    "gen_synthetic_sensor", "class_mean_waveform",
     "esn_step", "run_esn", "esn_sweep", "EsnSweepReport", "EsnNodeResult",
     "DEFAULT_NODE_COUNTS", "DEFAULT_RADIUS_GRID",
     # analysis

@@ -52,11 +52,6 @@ def gen_input(spec: InputSignalSpec) -> np.ndarray:
     return input_signal_value(spec, ts)
 
 
-def reference_input_spec(length: int = 100) -> InputSignalSpec:
-    """The input configuration used by the reference benchmark pipeline."""
-    return InputSignalSpec(length=length, t_start=REFERENCE_T_START)
-
-
 @dataclass(frozen=True)
 class NarmaSpec:
     """NARMA recurrence parameters.
@@ -213,42 +208,11 @@ def gen_synthetic_sensor(num_classes: int = 3, samples_per_class: int = 20,
     return LabeledSeriesDataset(tuple(samples), num_classes)
 
 
-@dataclass(frozen=True)
-class EsnConfig:
-    nodes: int
-    spectral_radius: float
-    input_weight_style: str = "pm1"  # 'pm1' for {-1,+1}, '01' for {0,1}
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.nodes < 1:
-            raise ConfigError(f"nodes must be >= 1, got {self.nodes}")
-        if not self.spectral_radius > 0:
-            raise ConfigError(
-                f"spectral_radius must be > 0, got {self.spectral_radius}")
-        if self.input_weight_style not in ("pm1", "01"):
-            raise ConfigError(
-                f"input_weight_style must be 'pm1' or '01', got "
-                f"{self.input_weight_style!r}")
-
-
 def _draw_esn(rng, nodes: int, style: str):
     raw = rng.integers(0, 2, nodes).astype(np.float64)
     w_in = raw if style == "01" else raw * 2.0 - 1.0
     w = rng.standard_normal((nodes, nodes))
     return w, w_in
-
-
-def build_esn(config: EsnConfig):
-    """(W, W_in): W standard-normal rescaled to the target spectral radius,
-    W_in random binary. Degenerate zero-radius draws are retried."""
-    rng = np.random.default_rng(config.seed)
-    for _ in range(8):
-        w, w_in = _draw_esn(rng, config.nodes, config.input_weight_style)
-        sr = float(np.abs(np.linalg.eigvals(w)).max())
-        if sr > 0:
-            return w * (config.spectral_radius / sr), w_in
-    raise ConfigError("could not draw a recurrent matrix with nonzero spectral radius")
 
 
 def esn_step(x, u, w, w_in) -> np.ndarray:
@@ -301,6 +265,20 @@ class EsnSweepReport:
         raise KeyError(f"no sweep result for {nodes} nodes")
 
 
+def check_esn_grid(node_counts, radii, input_weight_style: str) -> None:
+    """Raise ConfigError unless the sweep grid and input-weight style are valid."""
+    if not node_counts or not radii:
+        raise ConfigError("node_counts and radii must be non-empty")
+    if min(node_counts) < 1:
+        raise ConfigError(f"node counts must be >= 1, got {tuple(node_counts)}")
+    if not min(radii) > 0:
+        raise ConfigError(f"spectral radii must be > 0, got {tuple(radii)}")
+    if input_weight_style not in ("pm1", "01"):
+        raise ConfigError(
+            f"input_weight_style must be 'pm1' or '01', got "
+            f"{input_weight_style!r}")
+
+
 def esn_sweep(inputs, targets, split, node_counts=DEFAULT_NODE_COUNTS,
               radii=DEFAULT_RADIUS_GRID, trials: int = 100,
               input_weight_style: str = "pm1",
@@ -310,13 +288,13 @@ def esn_sweep(inputs, targets, split, node_counts=DEFAULT_NODE_COUNTS,
     global_average: mean over every (radius, trial) pair.
     global_minimum: per-radius trial-mean NMSE, minimized over radii.
 
-    Trials draw W_in and W from substream (seed, nodes, trial); the radius
+    Trials draw W_in and W from substream (seed, nodes, trial): W_in binary
+    ('pm1' for {-1,+1}, '01' for {0,1}) and W standard normal. The radius
     enters as a deterministic rescale of the shared per-trial draw.
     """
     u = np.asarray(inputs, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
-    if not node_counts or not radii:
-        raise ConfigError("node_counts and radii must be non-empty")
+    check_esn_grid(node_counts, radii, input_weight_style)
     washout, train, test = split
     m = u.size
     if washout + train + test > m:
@@ -331,12 +309,6 @@ def esn_sweep(inputs, targets, split, node_counts=DEFAULT_NODE_COUNTS,
             rng = np.random.default_rng([seed, nodes, b])
             ws[b], wins[b] = _draw_esn(rng, nodes, input_weight_style)
         sr = np.abs(np.linalg.eigvals(ws)).max(axis=1)
-        if (sr == 0).any():
-            # vanishing odds under a continuous draw; regenerate those trials
-            for b in np.flatnonzero(sr == 0):
-                cfg = EsnConfig(nodes, 1.0, input_weight_style, seed=[seed, nodes, b, 1])
-                ws[b], wins[b] = build_esn(cfg)
-                sr[b] = 1.0
         nmse_grid = np.empty((len(radii), trials))
         for ri, radius in enumerate(radii):
             w_r = ws * (radius / sr)[:, None, None]

@@ -18,8 +18,9 @@ from . import __version__
 from .analysis import gap_summary, stationarity_report
 from .benchmarks import (DEFAULT_NODE_COUNTS, DEFAULT_RADIUS_GRID,
                          EsnSweepReport, InputSignalSpec, NarmaSpec,
-                         REFERENCE_T_START, esn_sweep, gen_input, gen_narma,
-                         gen_synthetic_sensor, preprocess_diff)
+                         REFERENCE_T_START, check_esn_grid, esn_sweep,
+                         gen_input, gen_narma, gen_synthetic_sensor,
+                         preprocess_diff)
 from .circuit import SubsystemLayout, export_qasm
 from .engine import EXACT, FeatureSeries, ReservoirConfig, run_reservoir, split_series
 from .errors import ConfigError, QReservoirError
@@ -28,7 +29,8 @@ from .noise import DeviceNoiseProfile, load_noise_profile, zero_noise
 from .qstate import check_capacity
 from .readout import (fit_classifier, fit_linear_baseline,
                       fit_linear_classifier_baseline, fit_regression, k_fold_cv,
-                      nmse, predict, predict_class, stratified_folds)
+                      linear_classifier_pipeline, nmse, predict, predict_class,
+                      stratified_folds)
 
 TASKS = ("narma2", "narma5", "narma10", "classify", "esn-sweep", "stationarity")
 
@@ -98,6 +100,16 @@ class ExperimentConfig:
             raise ConfigError(
                 f"classify needs 2 <= folds <= samples_per_class, got "
                 f"folds = {self.folds}, samples_per_class = {self.samples_per_class}")
+        if self.task == "classify" and self.class_washout >= self.timesteps - 1:
+            raise ConfigError(
+                f"classify washout {self.class_washout} leaves no rows of the "
+                f"{self.timesteps - 1} differenced timesteps")
+        windows = self.washout + self.train + self.test
+        if self.task != "classify" and windows > self.input_length:
+            raise ConfigError(
+                f"washout + train + test = {windows} exceeds input length "
+                f"{self.input_length}")
+        check_esn_grid(self.esn_nodes, self.esn_radii, self.esn_input_weights)
 
     def layout(self) -> SubsystemLayout:
         if self.pairs:
@@ -169,9 +181,9 @@ def parse_config(source, base_dir: str = None) -> ExperimentConfig:
             kwargs[name] = value
     profile_path = get("reservoir", "profile", str)
     if profile_path:
-        profile_path = os.path.join(base_dir or file_dir or ".", profile_path)
+        resolved = os.path.join(base_dir or file_dir or ".", profile_path)
         kwargs.update(profile_path=profile_path,
-                      profile=load_noise_profile(profile_path))
+                      profile=load_noise_profile(resolved))
     if any(get("esn", key, str) is not None for key in _RADIUS_KEYS):
         grid = DEFAULT_RADIUS_GRID  # an absent radius_* key keeps its bound or step
         lo = get("esn", "radius_min", float, grid[0])
@@ -221,10 +233,17 @@ def _manifest(config: ExperimentConfig, extra=None) -> dict:
     return payload
 
 
+def _config_input(config: ExperimentConfig, length: int = None) -> np.ndarray:
+    """The configured reference input, `length` samples long (default: the
+    config's [input] length)."""
+    if length is None:
+        length = config.input_length
+    return gen_input(InputSignalSpec(length=length, t_start=config.t_start))
+
+
 def _narma_series(config: ExperimentConfig, order: int):
     """The configured reference input and its NARMA target of the given order."""
-    spec = InputSignalSpec(length=config.input_length, t_start=config.t_start)
-    u = gen_input(spec)
+    u = _config_input(config)
     nspec = NarmaSpec.narma2() if order == 2 else NarmaSpec.general(order)
     return u, gen_narma(nspec, u)
 
@@ -297,22 +316,15 @@ def _run_narma(config: ExperimentConfig, out: str) -> dict:
     return summary
 
 
-def _classify_blocks(config: ExperimentConfig, dataset):
-    """QR feature block per sample: preprocess, run the reservoir, keep rows
-    after the classification washout."""
-    blocks = []
-    for index, series in enumerate(dataset.series):
-        rc = config.reservoir(derive_seed(config.seed, 2, index))
-        feats = run_reservoir(preprocess_diff(series), rc)
-        blocks.append(feats.values[config.class_washout:])
-    return blocks
-
-
 def _run_classify(config: ExperimentConfig, out: str) -> dict:
     dataset = gen_synthetic_sensor(
         config.num_classes, config.samples_per_class, config.timesteps,
         seed=derive_seed(config.seed, 1), noise_amplitude=config.noise_amplitude)
-    blocks = _classify_blocks(config, dataset)
+    inputs = [preprocess_diff(s) for s in dataset.series]
+    blocks = []  # QR features per sample, after the classification washout
+    for i, u in enumerate(inputs):
+        rc = config.reservoir(derive_seed(config.seed, 2, i))
+        blocks.append(run_reservoir(u, rc).values[config.class_washout:])
     labels = dataset.labels
 
     feat_dir = os.path.join(out, "features")
@@ -320,16 +332,11 @@ def _run_classify(config: ExperimentConfig, out: str) -> dict:
     for i, block in enumerate(blocks):
         FeatureSeries(block).to_csv(os.path.join(feat_dir, f"sample{i:02d}.csv"))
 
-    def pipeline(train_blocks, train_labels):
-        weights = fit_classifier(train_blocks, train_labels,
-                                 num_classes=config.num_classes)
-        return lambda block: predict_class(weights, block).class_index
-
-    report = k_fold_cv(blocks, labels, config.folds, pipeline, seed=config.seed)
-    raw_windows = [preprocess_diff(s)[config.class_washout:]
-                   for s in dataset.series]
-    linear = fit_linear_classifier_baseline(raw_windows, labels,
-                                            k=config.folds, seed=config.seed)
+    report = k_fold_cv(blocks, labels, config.folds,
+                       linear_classifier_pipeline(), seed=config.seed)
+    linear = fit_linear_classifier_baseline(
+        [u[config.class_washout:] for u in inputs], labels,
+        k=config.folds, seed=config.seed)
 
     preds = []
     folds_of = {}
@@ -441,8 +448,7 @@ def export_circuits(config: ExperimentConfig, inputs=None) -> list:
     out = config.output_dir
     os.makedirs(out, exist_ok=True)
     if inputs is None:
-        spec = InputSignalSpec(length=config.input_length, t_start=config.t_start)
-        inputs = gen_input(spec)
+        inputs = _config_input(config)
     inputs = np.asarray(inputs, dtype=np.float64)
     layout = config.layout()
     shots = config.shots if config.shots != EXACT else 8192
@@ -517,9 +523,8 @@ def main(argv=None) -> int:
             print(path)
         elif args.command == "export-qasm":
             config = _load_config_from_args(args)
-            if args.timesteps is not None:
-                config = replace(config, input_length=args.timesteps)
-            for path in export_circuits(config):
+            for path in export_circuits(
+                    config, _config_input(config, args.timesteps)):
                 print(path)
         else:
             feats = FeatureSeries.from_csv(args.features)

@@ -250,26 +250,21 @@ def fit_linear_baseline(inputs, targets, split,
 
     tr = np.arange(washout, washout + train)
     te = np.arange(washout + train, washout + train + test)
-    x_tr = np.column_stack([lagged(tr), np.ones(tr.size)])
-    w, *_ = np.linalg.lstsq(x_tr, y[tr], rcond=DEFAULT_RCOND)
-    pred_tr = x_tr @ w
-    pred_te = np.column_stack([lagged(te), np.ones(te.size)]) @ w
+    weights = fit_regression(lagged(tr), y[tr])
+    (weight,), (bias,) = weights.matrix
     return LinearBaselineResult(
-        weight=float(w[0]), bias=float(w[1]),
-        nmse_train=nmse(pred_tr, y[tr]), nmse_test=nmse(pred_te, y[te]))
+        weight=float(weight), bias=float(bias),
+        nmse_train=nmse(predict(weights, lagged(tr)), y[tr]),
+        nmse_test=nmse(predict(weights, lagged(te)), y[te]))
 
 
 def linear_classifier_pipeline():
-    """CV pipeline for the scalar linear classifier baseline: per-timestep
-    scores from the raw series, then winner-takes-all."""
+    """k_fold_cv pipeline of the winner-takes-all linear readout: fit
+    `fit_classifier` on the training samples (feature blocks, or raw series
+    read as one-feature blocks), then `predict_class` each held-out sample."""
     def fit(train_samples, train_labels):
-        num_classes = int(np.max(train_labels)) + 1
-        blocks = [_feature_rows(s) for s in train_samples]
-        weights = fit_classifier(blocks, train_labels, num_classes=num_classes)
-
-        def predict_one(sample):
-            return predict_class(weights, _feature_rows(sample)).class_index
-        return predict_one
+        weights = fit_classifier(train_samples, train_labels)
+        return lambda sample: predict_class(weights, sample).class_index
     return fit
 
 

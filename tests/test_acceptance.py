@@ -14,12 +14,11 @@ from qreservoir import (DensityMatrix, DeviceNoiseProfile, ReservoirConfig,
                         SubsystemLayout, amplitude_damping_channel,
                         apply_channel, apply_device_noise, build_layer,
                         depolarizing_channel, esn_sweep, fit_classifier,
-                        fit_linear_baseline, gen_input, gen_synthetic_sensor,
-                        k_fold_cv, maximally_mixed, narma_task,
-                        pauli_z_expectations, phase_damping_channel, plus_state,
-                        predict_class, preprocess_diff, preset_profile,
-                        reference_input_spec, run_reservoir, sample_bitstrings,
-                        trace_distance)
+                        fit_linear_baseline, gen_synthetic_sensor, k_fold_cv,
+                        maximally_mixed, narma_task, pauli_z_expectations,
+                        phase_damping_channel, plus_state, predict_class,
+                        preprocess_diff, preset_profile, run_reservoir,
+                        sample_bitstrings, trace_distance)
 from qreservoir.cli import parse_config, run_experiment
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -171,7 +170,7 @@ def test_criterion_6_shot_estimator_calibration(capsys):
     profile = preset_profile("strong-dense", 8)
     layout = SubsystemLayout.default(8)
     state = plus_state(8)
-    for u in gen_input(reference_input_spec(12)):
+    for u in narma_task(2, length=12)[0]:
         state = apply_device_noise(state, profile,
                                    build_layer(float(u), layout, 2.0))
     exact = pauli_z_expectations(state)

@@ -2,13 +2,12 @@
 import numpy as np
 import pytest
 
-from qreservoir import (ConfigError, DivergenceError, EsnConfig,
+from qreservoir import (REFERENCE_T_START, ConfigError, DivergenceError,
                         InputSignalSpec, LabeledSeriesDataset, NarmaSpec,
-                        build_esn, class_mean_waveform, esn_step, esn_sweep,
+                        class_mean_waveform, esn_step, esn_sweep,
                         fit_regression, gen_input, gen_narma,
                         gen_synthetic_sensor, input_signal_value, narma_task,
-                        nmse, predict, preprocess_diff, reference_input_spec,
-                        run_esn)
+                        nmse, predict, preprocess_diff, run_esn)
 
 GOLDEN_RATIO_FIXED_POINT = (3 - np.sqrt(5)) / 4  # root of y = 0.4y + 0.4y^2 + 0.1
 
@@ -23,7 +22,7 @@ def test_input_signal_reference_points():
 
 
 def test_input_signal_origin_shift():
-    ref = gen_input(reference_input_spec(10))
+    ref = gen_input(InputSignalSpec(length=10, t_start=REFERENCE_T_START))
     assert ref[1] == pytest.approx(0.1)  # t = 0 sits at the second sample
     assert ref[2] == pytest.approx(gen_input(InputSignalSpec(length=10))[0])
 
@@ -36,7 +35,7 @@ def test_input_signal_validation():
 
 
 def test_narma2_recurrence_recomputed():
-    u = gen_input(reference_input_spec(50))
+    u = gen_input(InputSignalSpec(length=50, t_start=REFERENCE_T_START))
     y = gen_narma(NarmaSpec.narma2(), u)
     for t in range(1, 50):  # 0-based row t holds y_{t+1}
         prev = y[t - 1]
@@ -152,26 +151,10 @@ def test_esn_step_hand_check():
         esn_step(x, 0.5, np.eye(3), w_in)
 
 
-def test_build_esn_hits_requested_spectral_radius():
-    for style in ("pm1", "01"):
-        w, w_in = build_esn(EsnConfig(nodes=8, spectral_radius=0.66,
-                                      input_weight_style=style, seed=1))
-        assert np.abs(np.linalg.eigvals(w)).max() == pytest.approx(0.66)
-        allowed = {0.0, 1.0} if style == "01" else {-1.0, 1.0}
-        assert set(np.unique(w_in)) <= allowed
-
-
-def test_esn_config_validation():
-    with pytest.raises(ConfigError):
-        EsnConfig(nodes=0, spectral_radius=0.5)
-    with pytest.raises(ConfigError):
-        EsnConfig(nodes=2, spectral_radius=0.0)
-    with pytest.raises(ConfigError):
-        EsnConfig(nodes=2, spectral_radius=0.5, input_weight_style="binary")
-
-
 def test_run_esn_matches_stepwise_iteration():
-    w, w_in = build_esn(EsnConfig(nodes=4, spectral_radius=0.8, seed=3))
+    rng = np.random.default_rng(3)
+    w = 0.2 * rng.standard_normal((4, 4))
+    w_in = rng.choice([-1.0, 1.0], 4)
     u = np.linspace(0.0, 0.2, 7)
     states = run_esn(u, w, w_in)
     x = np.zeros(4)
@@ -201,18 +184,24 @@ def test_esn_sweep_small_grid_structure():
 
 def test_esn_sweep_cell_matches_sequential_route():
     # the sweep vectorizes over trials; one cell must equal the plain
-    # run_esn + pseudoinverse readout route on the same substream draw
+    # run_esn + pseudoinverse readout route on the same substream draw, whose
+    # W has the requested spectral radius and whose W_in takes the style's
+    # two values
     u, y = narma_task(2, length=60)
-    report = esn_sweep(u, y, (5, 40, 15), node_counts=(3,), radii=(0.7,),
-                       trials=2, seed=11)
-    rng = np.random.default_rng([11, 3, 0])
-    w_in = rng.integers(0, 2, 3).astype(np.float64) * 2.0 - 1.0
-    w = rng.standard_normal((3, 3))
-    w *= 0.7 / np.abs(np.linalg.eigvals(w)).max()
-    states = run_esn(u, w, w_in)
-    weights = fit_regression(states[5:45], y[5:45])
-    want = nmse(predict(weights, states[45:60]), y[45:60])
-    assert report.results[0].nmse[0, 0] == pytest.approx(want, rel=1e-6)
+    for style, values in (("pm1", {-1.0, 1.0}), ("01", {0.0, 1.0})):
+        report = esn_sweep(u, y, (5, 40, 15), node_counts=(3,), radii=(0.7,),
+                           trials=2, input_weight_style=style, seed=11)
+        rng = np.random.default_rng([11, 3, 0])
+        raw = rng.integers(0, 2, 3).astype(np.float64)
+        w_in = raw if style == "01" else raw * 2.0 - 1.0
+        w = rng.standard_normal((3, 3))
+        w *= 0.7 / np.abs(np.linalg.eigvals(w)).max()
+        assert np.abs(np.linalg.eigvals(w)).max() == pytest.approx(0.7)
+        assert set(np.unique(w_in)) <= values
+        states = run_esn(u, w, w_in)
+        weights = fit_regression(states[5:45], y[5:45])
+        want = nmse(predict(weights, states[45:60]), y[45:60])
+        assert report.results[0].nmse[0, 0] == pytest.approx(want, rel=1e-6)
 
 
 def test_esn_sweep_validation():
@@ -221,3 +210,10 @@ def test_esn_sweep_validation():
         esn_sweep(u, y, (5, 20, 10), node_counts=(2,), radii=(0.5,))
     with pytest.raises(ConfigError):
         esn_sweep(u, y, (5, 20, 5), node_counts=(), radii=(0.5,))
+    with pytest.raises(ConfigError, match="node counts"):
+        esn_sweep(u, y, (5, 20, 5), node_counts=(0, 2), radii=(0.5,))
+    with pytest.raises(ConfigError, match="radii"):
+        esn_sweep(u, y, (5, 20, 5), node_counts=(2,), radii=(0.5, 0.0))
+    with pytest.raises(ConfigError, match="'binary'"):
+        esn_sweep(u, y, (5, 20, 5), node_counts=(2,), radii=(0.5,),
+                  input_weight_style="binary")

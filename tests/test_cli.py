@@ -1,7 +1,9 @@
 """Experiment config parsing, batch runner outputs, and the console entry point."""
 import json
 import os
+import re
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ from qreservoir import (CapacityError, ConfigError, FeatureSeries, ProfileError,
                         REFERENCE_T_START, load_noise_profile)
 from qreservoir.cli import (ExperimentConfig, TASKS, derive_seed,
                             export_circuits, main, parse_config, run_experiment)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 NOISY_PROFILE = """
 [gates]
@@ -146,7 +150,7 @@ input_weights = 01
     expected = dict(
         task="classify", seed=7, trials=3, output_dir="elsewhere",
         num_qubits=4, pairs=((0, 3), (1, 2)), scale=1.25, shots=100,
-        profile_path=os.path.join(str(tmp_path), "noisy.ini"),
+        profile_path="noisy.ini",
         profile=load_noise_profile(NOISY_PROFILE),
         washout=5, train=30, test=8, input_length=50, t_start=4,
         lr_feature_lag=1, num_classes=4, samples_per_class=6, timesteps=45,
@@ -166,8 +170,8 @@ def test_parse_config_resolves_profile_relative_to_file(tmp_path):
     path = write_narma_config(tmp_path)
     cfg = parse_config(path)
     assert cfg.profile.p1 == 0.01
-    assert os.path.isabs(cfg.profile_path)
-    assert cfg.profile_path.startswith(str(tmp_path))
+    # kept as written, so manifests do not depend on the checkout's location
+    assert cfg.profile_path == "noisy.ini"
 
 
 def test_experiment_config_direct_validation():
@@ -178,23 +182,33 @@ def test_experiment_config_direct_validation():
     assert "classify" in TASKS
 
 
-@pytest.mark.parametrize("reservoir, classify, error", [
-    ("num_qubits = 3", "", ConfigError),
-    ("num_qubits = 16", "", CapacityError),
-    ("num_qubits = 4\nprofile = sized8.ini", "", ProfileError),
-    ("num_qubits = 4\nprofile = edge09.ini", "", ProfileError),
-    ("num_qubits = 2", "samples_per_class = 2\nfolds = 5", ConfigError),
+@pytest.mark.parametrize("task, sections, error", [
+    ("classify", "num_qubits = 3", ConfigError),
+    ("classify", "num_qubits = 16", CapacityError),
+    ("classify", "num_qubits = 4\nprofile = sized8.ini", ProfileError),
+    ("classify", "num_qubits = 4\nprofile = edge09.ini", ProfileError),
+    ("classify", "num_qubits = 2\n[classify]\nsamples_per_class = 2\nfolds = 5",
+     ConfigError),
+    ("classify", "num_qubits = 2\n[classify]\ntimesteps = 10\nwashout = 9",
+     ConfigError),
+    ("narma10", "num_qubits = 2\n[input]\nlength = 50", ConfigError),
+    ("stationarity", "num_qubits = 2\n[split]\ntest = 21", ConfigError),
+    ("esn-sweep", "[input]\nlength = 99", ConfigError),
+    ("esn-sweep", "[esn]\ninput_weights = binary", ConfigError),
+    ("esn-sweep", "[esn]\nnodes = 0 2", ConfigError),
 ], ids=["odd-register", "over-capacity", "profile-size", "profile-edge",
-        "folds-over-samples"])
-def test_bad_experiment_fails_before_any_output(tmp_path, capsys, reservoir,
-                                                classify, error):
+        "folds-over-samples", "classify-washout-over-timesteps",
+        "narma-windows-over-length", "stationarity-windows-over-length",
+        "esn-windows-over-length", "esn-unknown-input-weights",
+        "esn-zero-nodes"])
+def test_bad_experiment_fails_before_any_output(tmp_path, capsys, task,
+                                                sections, error):
     (tmp_path / "sized8.ini").write_text("[topology]\nnum_qubits = 8\n")
     (tmp_path / "edge09.ini").write_text(
         "[crosstalk]\ntheta = 0.1\n[topology]\nedges = 0-9\n")
     path = tmp_path / "bad.ini"
-    path.write_text("[experiment]\ntask = classify\n"
-                    f"[reservoir]\nshots = exact\n{reservoir}\n"
-                    f"[classify]\ntimesteps = 10\nwashout = 2\n{classify}\n")
+    path.write_text(f"[experiment]\ntask = {task}\n"
+                    f"[reservoir]\nshots = exact\n{sections}\n")
     with pytest.raises(error):
         parse_config(path)
     out = tmp_path / "out"
@@ -230,6 +244,7 @@ def test_run_narma_outputs_and_reproducibility(tmp_path):
 
     manifest = json.loads((tmp_path / "run1" / "manifest.json").read_text())
     assert manifest["config"]["shots"] == "exact"
+    assert manifest["config"]["profile_path"] == "noisy.ini"
     assert manifest["config"]["profile"]["p1"] == 0.01
     assert manifest["config"]["split"] == [4, 20, 6]
 
@@ -332,7 +347,8 @@ def test_run_stationarity_small(tmp_path):
 def test_export_circuits_files_and_manifest(tmp_path):
     cfg = parse_config(
         "[experiment]\ntask = narma2\n"
-        "[reservoir]\nnum_qubits = 2\nshots = exact\n[input]\nlength = 3\n")
+        "[reservoir]\nnum_qubits = 2\nshots = exact\n[input]\nlength = 3\n"
+        "[split]\nwashout = 0\ntrain = 2\ntest = 1\n")
     cfg = replace(cfg, output_dir=str(tmp_path / "qasm"))
     files = export_circuits(cfg)
     assert [os.path.basename(f) for f in files] == [
@@ -345,6 +361,38 @@ def test_export_circuits_files_and_manifest(tmp_path):
     assert [e["t"] for e in manifest["circuits"]] == [1, 2, 3]
     assert all(e["shots"] == 8192 for e in manifest["circuits"])  # exact maps to default
     assert manifest["circuits"][0]["file"] == "circuit_t001.qasm"
+
+
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+@pytest.mark.parametrize("name", ["narma2_demo", "stationarity"])
+def test_shipped_config_reproduces_committed_out(tmp_path, name):
+    # out/ is the checked reference, regenerated only by a declared numerics
+    # change. Manifests and summary table strings must match byte for byte;
+    # every other number within rtol 1e-12, since the last bits of BLAS
+    # results may differ between CPUs.
+    want_dir = ROOT / "out" / name
+    cfg = parse_config(ROOT / "configs" / f"{name}.ini")
+    run_experiment(replace(cfg, output_dir=str(tmp_path)))
+
+    def files(root):
+        return sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
+
+    assert files(tmp_path) == files(want_dir)
+    for rel in files(want_dir):
+        got = (tmp_path / rel).read_text()
+        want = (want_dir / rel).read_text()
+        if rel.name == "manifest.json":
+            assert got == want
+            continue
+        if rel.name == "summary.json":
+            assert json.loads(got).get("table") == json.loads(want).get("table")
+        assert _NUMBER.split(got) == _NUMBER.split(want), rel
+        np.testing.assert_allclose(
+            [float(v) for v in _NUMBER.findall(got)],
+            [float(v) for v in _NUMBER.findall(want)],
+            rtol=1e-12, atol=0, err_msg=str(rel))
 
 
 # ------------------------------------------------------------- entry point
@@ -411,6 +459,10 @@ def test_main_export_qasm_timesteps_flag(tmp_path, capsys):
     printed = capsys.readouterr().out.strip().split("\n")
     assert len(printed) == 2
     assert all(p.endswith(".qasm") for p in printed)
+    # the T inputs are the config's first T; the config itself is unchanged
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["input_length"] == 30
+    assert [e["t"] for e in manifest["circuits"]] == [1, 2]
 
 
 def test_main_reports_errors_as_json(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Trajectory engine: feature extraction, sampling, windows, locality."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from qreservoir import (ConfigError, CorruptedStateError, DensityMatrix,
                         DeviceNoiseProfile, FeatureSeries, ReservoirConfig,
@@ -25,6 +26,18 @@ def test_zero_noise_features_are_identically_zero():
     cfg = ReservoirConfig(SubsystemLayout.default(4), scale=2.0)
     feats = run_reservoir(INPUTS_20, cfg)
     assert np.abs(feats.values).max() < 1e-12
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(order=hst.sampled_from([2, 4, 6]).flatmap(
+           lambda n: hst.permutations(range(n))),
+       scale=hst.floats(-10.0, 10.0),
+       inputs=hst.lists(hst.floats(-1.0, 1.0), min_size=1, max_size=6))
+def test_zero_noise_features_vanish_for_any_pairing(order, scale, inputs):
+    # the parity argument holds for every pairing, orientation, scale and input
+    pairs = tuple(zip(order[0::2], order[1::2]))
+    cfg = ReservoirConfig(SubsystemLayout(len(order), pairs), scale=scale)
+    assert np.abs(run_reservoir(inputs, cfg).values).max() < 1e-12
 
 
 def test_noise_breaks_the_feature_null_space():

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from qreservoir import (DensityMatrix, DeviceNoiseProfile, ProfileError,
                         SubsystemLayout, Topology, amplitude_damping_channel,
@@ -236,6 +237,31 @@ def test_device_step_matches_sequential_reference(name, layout):
         st_ref = sequential_step(st_ref, profile, layer)
     assert np.abs(st_fast.matrix - st_ref.matrix).max() < 1e-12
     st_fast.validate()
+
+
+_PROBABILITY = hst.floats(0.0, 1.0)
+_EDGES = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(order=hst.permutations(range(4)).filter(
+           lambda p: {frozenset(p[:2]), frozenset(p[2:])}
+           != {frozenset((0, 1)), frozenset((2, 3))}),
+       profile=hst.builds(
+           DeviceNoiseProfile, p1=_PROBABILITY, p2=_PROBABILITY,
+           gamma_idle=_PROBABILITY, lambda_idle=_PROBABILITY,
+           zz_theta=hst.floats(-3.0, 3.0),
+           topology=hst.lists(hst.sampled_from(_EDGES), unique=True).map(
+               lambda edges: Topology(4, tuple(edges)))),
+       u=hst.floats(-1.0, 1.0), seed=hst.integers(0, 2 ** 16))
+def test_device_step_matches_sequential_reference_on_random_profiles(
+        order, profile, u, seed):
+    layout = SubsystemLayout(4, (tuple(order[:2]), tuple(order[2:])))
+    layer = build_layer(u, layout, 2.0)
+    state = random_density(4, seed)
+    got = apply_device_noise(state, profile, layer)
+    want = sequential_step(state, profile, layer)
+    assert np.abs(got.matrix - want.matrix).max() < 1e-12
 
 
 @pytest.mark.parametrize("profile", [
