@@ -19,7 +19,7 @@ layout = SubsystemLayout.default(4)
 
 print("input sequence:", np.round(inputs, 4))
 print("initial state |+>^4, Z expectations:",
-      pauli_z_expectations(plus_state(4)))
+      pauli_z_expectations(plus_state(4).populations))
 
 print("\n--- zero noise ---")
 feats = run_reservoir(inputs, ReservoirConfig(layout, scale=2.0,

@@ -21,8 +21,8 @@ from .noise import (DeviceNoiseProfile, Topology, amplitude_damping_channel,
                     apply_device_noise, depolarizing_channel,
                     load_noise_profile, phase_damping_channel, preset_profile,
                     zero_noise, zz_crosstalk_gate)
-from .engine import (EXACT, FeatureSeries, ReservoirConfig, run_reservoir,
-                     sample_bitstrings, split_series)
+from .engine import (EXACT, FeatureSeries, ReservoirConfig, evolve, measure,
+                     run_reservoir, sample_bitstrings, split_series)
 from .readout import (ClassPrediction, CvReport, LinearBaselineResult,
                       ReadoutWeights, fit_classifier, fit_linear_baseline,
                       fit_linear_classifier_baseline, fit_regression,
@@ -54,8 +54,8 @@ __all__ = [
     "amplitude_damping_channel", "phase_damping_channel", "zz_crosstalk_gate",
     "apply_device_noise", "load_noise_profile", "preset_profile",
     # trajectory engine
-    "EXACT", "ReservoirConfig", "FeatureSeries", "run_reservoir",
-    "sample_bitstrings", "split_series",
+    "EXACT", "ReservoirConfig", "FeatureSeries", "evolve", "measure",
+    "run_reservoir", "sample_bitstrings", "split_series",
     # readout training
     "ReadoutWeights", "fit_regression", "predict", "nmse", "fit_classifier",
     "ClassPrediction", "predict_class", "CvReport", "stratified_folds",

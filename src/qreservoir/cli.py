@@ -10,7 +10,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -82,10 +82,12 @@ class ExperimentConfig:
         if self.task not in TASKS:
             raise ConfigError(
                 f"unknown task {self.task!r}; valid tasks: {', '.join(TASKS)}")
-        for name in ("trials", "num_qubits", "input_length", "folds",
-                     "esn_trials"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, low in (("trials", 1), ("num_qubits", 1), ("input_length", 1),
+                          ("folds", 1), ("esn_trials", 1), ("washout", 0),
+                          ("train", 0), ("test", 0), ("lr_feature_lag", 0),
+                          ("class_washout", 0), ("num_classes", 2)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.scale is None:
             object.__setattr__(
                 self, "scale", math.pi if self.task == "classify" else 2.0)
@@ -207,6 +209,8 @@ def _two_sig(x: float) -> str:
 
 
 def _manifest(config: ExperimentConfig, extra=None) -> dict:
+    profile = asdict(config.profile)
+    profile["topology_edges"] = profile.pop("topology")["edges"]
     payload = {
         "artifact_version": __version__,
         "config": {
@@ -215,14 +219,7 @@ def _manifest(config: ExperimentConfig, extra=None) -> dict:
             "pairs": [list(p) for p in config.layout().pairs],
             "scale": config.scale, "shots": config.shots,
             "profile_path": config.profile_path or None,
-            "profile": {
-                "p1": config.profile.p1, "p2": config.profile.p2,
-                "gamma_idle": config.profile.gamma_idle,
-                "lambda_idle": config.profile.lambda_idle,
-                "zz_theta": config.profile.zz_theta,
-                "readout_flip": list(config.profile.readout_flip),
-                "topology_edges": [list(e) for e in config.profile.topology.edges],
-            },
+            "profile": profile,
             "split": [config.washout, config.train, config.test],
             "input_length": config.input_length, "t_start": config.t_start,
             "lr_feature_lag": config.lr_feature_lag,
@@ -266,11 +263,11 @@ def _run_narma(config: ExperimentConfig, out: str) -> dict:
     w0, w1 = config.washout, config.washout + config.train
     t_idx = np.concatenate([np.arange(w0 + 1, w1 + 1),
                             np.arange(w1 + 1, w1 + config.test + 1)])
-    test_nmses = []
-    train_nmses = []
-    for trial in range(config.trials):
-        rc = config.reservoir(derive_seed(config.seed, trial))
-        feats = run_reservoir(u, rc)
+    test_nmses, train_nmses = [], []
+    # one evolution serves every trial: the seed only enters shot sampling
+    seeds = [derive_seed(config.seed, trial) for trial in range(config.trials)]
+    trial_feats = run_reservoir(u, config.reservoir(seeds[0]), seeds)
+    for trial, feats in enumerate(trial_feats):
         ftr, fte = split_series(feats, *split)
         weights = fit_regression(ftr, y[w0:w1])
         pred_tr = predict(weights, ftr)
@@ -295,7 +292,7 @@ def _run_narma(config: ExperimentConfig, out: str) -> dict:
         os.path.join(out, "stationarity_targets.csv"))
 
     test_arr = np.array(test_nmses)
-    summary = {
+    return {
         "task": config.task,
         "trials": config.trials,
         "qr_nmse_test": test_nmses,
@@ -313,7 +310,6 @@ def _run_narma(config: ExperimentConfig, out: str) -> dict:
             "lr": _two_sig(lr.nmse_test),
         },
     }
-    return summary
 
 
 def _run_classify(config: ExperimentConfig, out: str) -> dict:
@@ -321,10 +317,15 @@ def _run_classify(config: ExperimentConfig, out: str) -> dict:
         config.num_classes, config.samples_per_class, config.timesteps,
         seed=derive_seed(config.seed, 1), noise_amplitude=config.noise_amplitude)
     inputs = [preprocess_diff(s) for s in dataset.series]
-    blocks = []  # QR features per sample, after the classification washout
+    shared = {}  # samples with identical inputs share one evolution
     for i, u in enumerate(inputs):
-        rc = config.reservoir(derive_seed(config.seed, 2, i))
-        blocks.append(run_reservoir(u, rc).values[config.class_washout:])
+        shared.setdefault(u.tobytes(), []).append(i)
+    blocks = [None] * len(inputs)  # QR features per sample, after the washout
+    for members in shared.values():
+        seeds = [derive_seed(config.seed, 2, i) for i in members]
+        feats = run_reservoir(inputs[members[0]], config.reservoir(seeds[0]), seeds)
+        for i, f in zip(members, feats):
+            blocks[i] = f.values[config.class_washout:]
     labels = dataset.labels
 
     feat_dir = os.path.join(out, "features")
@@ -351,7 +352,7 @@ def _run_classify(config: ExperimentConfig, out: str) -> dict:
                delimiter=",", header="sample,label,prediction_full_fit,tie,cv_fold",
                comments="", fmt="%d")
 
-    summary = {
+    return {
         "task": "classify",
         "folds": config.folds,
         "qr_accuracy_mean": report.mean_accuracy,
@@ -366,7 +367,6 @@ def _run_classify(config: ExperimentConfig, out: str) -> dict:
             "linear": f"{linear.mean_accuracy:.2f}",
         },
     }
-    return summary
 
 
 def _sweep_to_files(report: EsnSweepReport, out: str) -> dict:
@@ -398,9 +398,8 @@ def _run_esn_sweep(config: ExperimentConfig, out: str) -> dict:
                        trials=config.esn_trials,
                        input_weight_style=config.esn_input_weights,
                        seed=config.seed)
-    summary = {"task": "esn-sweep", "narma_order": order}
-    summary.update(_sweep_to_files(report, out))
-    return summary
+    return {"task": "esn-sweep", "narma_order": order,
+            **_sweep_to_files(report, out)}
 
 
 def _run_stationarity(config: ExperimentConfig, out: str) -> dict:
@@ -452,8 +451,7 @@ def export_circuits(config: ExperimentConfig, inputs=None) -> list:
     inputs = np.asarray(inputs, dtype=np.float64)
     layout = config.layout()
     shots = config.shots if config.shots != EXACT else 8192
-    files = []
-    entries = []
+    files, entries = [], []
     for t in range(1, inputs.size + 1):
         name = f"circuit_t{t:03d}.qasm"
         path = os.path.join(out, name)
@@ -467,13 +465,9 @@ def export_circuits(config: ExperimentConfig, inputs=None) -> list:
 
 
 def _load_config_from_args(args) -> ExperimentConfig:
-    config = parse_config(args.config)
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.output_dir is not None:
-        updates["output_dir"] = args.output_dir
-    return replace(config, **updates) if updates else config
+    overrides = {"seed": args.seed, "output_dir": args.output_dir}
+    return replace(parse_config(args.config),
+                   **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _add_common(sub):
@@ -511,16 +505,11 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "run":
+        if args.command in ("run", "sweep-esn"):
             config = _load_config_from_args(args)
-            path = run_experiment(config)
-            print(path)
-        elif args.command == "sweep-esn":
-            config = _load_config_from_args(args)
-            if config.task != "esn-sweep":
+            if args.command == "sweep-esn":
                 config = replace(config, task="esn-sweep")
-            path = run_experiment(config)
-            print(path)
+            print(run_experiment(config))
         elif args.command == "export-qasm":
             config = _load_config_from_args(args)
             for path in export_circuits(

@@ -1,11 +1,10 @@
-"""Reservoir trajectory engine: exact density-matrix evolution per timestep with
-feature extraction either exact (Z expectations) or via simulated finite-shot
-measurement. The trajectory itself is always exact; measurement never back-acts,
-since each timestep corresponds to a fresh circuit run on hardware.
+"""Reservoir trajectory engine: `evolve` runs the exact density-matrix trajectory
+and `measure` reads features from it, exact Z expectations or finite shots.
+Measurement never back-acts: each timestep is a fresh circuit run on hardware.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
@@ -13,7 +12,7 @@ import numpy as np
 from .circuit import SubsystemLayout, build_layer
 from .errors import ConfigError, CorruptedStateError
 from .noise import DeviceNoiseProfile, apply_device_noise, zero_noise
-from .qstate import DensityMatrix, pauli_z_expectations, plus_state
+from .qstate import pauli_z_expectations, plus_state, population_qubits
 
 EXACT = "exact"
 
@@ -76,16 +75,16 @@ class FeatureSeries:
         return cls(data[:, 1:])
 
 
-def sample_bitstrings(state: DensityMatrix, shots: int, readout_flip,
+def sample_bitstrings(populations, shots: int, readout_flip,
                       rng: np.random.Generator) -> np.ndarray:
-    """Draw `shots` n-bit strings from diag(rho), then apply readout flips.
+    """Draw `shots` n-bit strings from populations diag(rho), then apply flips.
 
     Returns a (shots, n) array of 0/1. Bit i corresponds to qubit i.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    n = state.num_qubits
-    probs = np.real(np.diagonal(state.matrix)).copy()
+    probs = np.array(populations, dtype=np.float64)
+    n = population_qubits(probs)
     lo = probs.min()
     if lo < -_CLIP_TOL:
         raise CorruptedStateError(
@@ -96,7 +95,7 @@ def sample_bitstrings(state: DensityMatrix, shots: int, readout_flip,
             f"diagonal mass {mass!r} deviates from 1 beyond tolerance")
     np.clip(probs, 0.0, None, out=probs)
     probs /= probs.sum()
-    indices = rng.choice(state.dim, size=shots, p=probs)
+    indices = rng.choice(probs.size, size=shots, p=probs)
     shifts = np.arange(n - 1, -1, -1)
     bits = ((indices[:, None] >> shifts) & 1).astype(np.uint8)
     r01, r10 = readout_flip
@@ -106,36 +105,51 @@ def sample_bitstrings(state: DensityMatrix, shots: int, readout_flip,
     return bits
 
 
-def _features_from_bits(bits: np.ndarray) -> np.ndarray:
-    # outcome +1 for bit 0, -1 for bit 1
-    return 1.0 - 2.0 * bits.mean(axis=0)
-
-
-def run_reservoir(inputs, config: ReservoirConfig) -> FeatureSeries:
-    """Evolve rho_0 = |+><+|^n through one noisy layer per input and record
-    features. Sampled mode draws per-timestep shot noise from substream
-    (seed, t) so results are reproducible and order-independent.
+def evolve(inputs, config: ReservoirConfig) -> np.ndarray:
+    """Evolve rho_0 = |+><+|^n through one noisy layer per input; returns the
+    populations diag(rho_t) after each step, shape (timesteps, 2^n). The
+    trajectory depends only on the inputs, layout, scale and profile.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 1 or inputs.size < 1:
-        raise ConfigError(f"need a 1-d, non-empty input sequence, got shape {inputs.shape}")
-    if not np.isfinite(inputs).all():
-        raise ConfigError("inputs contain NaN/Inf")
+    if inputs.ndim != 1 or inputs.size < 1 or not np.isfinite(inputs).all():
+        raise ConfigError(f"need a 1-d, non-empty, finite input sequence, "
+                          f"got shape {inputs.shape}")
     layout = config.layout
-    n = layout.num_qubits
-    state = plus_state(n)
-    rows = np.empty((inputs.size, n))
-    flips = config.profile.readout_flip
-    for t, u in enumerate(inputs, start=1):
+    state = plus_state(layout.num_qubits)
+    populations = np.empty((inputs.size, state.dim))
+    for t, u in enumerate(inputs):
         layer = build_layer(float(u), layout, config.scale)
         state = apply_device_noise(state, config.profile, layer)
+        populations[t] = state.populations
+    return populations
+
+
+def measure(populations, config: ReservoirConfig) -> FeatureSeries:
+    """Features of each row of `evolve`'s output. Sampled mode draws the shots
+    of timestep t from substream (seed, t), so results are reproducible and do
+    not depend on how many measurements share one evolution.
+    """
+    rows = np.empty((len(populations), config.layout.num_qubits))
+    for t, probs in enumerate(populations, start=1):
         if config.exact:
-            rows[t - 1] = pauli_z_expectations(state)
+            rows[t - 1] = pauli_z_expectations(probs)
         else:
             rng = np.random.default_rng([config.seed, t])
-            bits = sample_bitstrings(state, config.shots, flips, rng)
-            rows[t - 1] = _features_from_bits(bits)
+            bits = sample_bitstrings(probs, config.shots,
+                                     config.profile.readout_flip, rng)
+            rows[t - 1] = 1.0 - 2.0 * bits.mean(axis=0)  # bit 0 reads +1
     return FeatureSeries(rows)
+
+
+def run_reservoir(inputs, config: ReservoirConfig, seeds=None):
+    """`measure(evolve(inputs, config), config)`. Given `seeds`, evolves once
+    and returns one FeatureSeries per seed, each measured as
+    `replace(config, seed=seed)` would be.
+    """
+    populations = evolve(inputs, config)
+    if seeds is None:
+        return measure(populations, config)
+    return [measure(populations, replace(config, seed=s)) for s in seeds]
 
 
 def split_series(features: FeatureSeries, washout: int, train: int, test: int):

@@ -66,6 +66,11 @@ class DensityMatrix:
     def dim(self) -> int:
         return 1 << self.num_qubits
 
+    @property
+    def populations(self) -> np.ndarray:
+        """diag(rho) as floats: the computational-basis outcome probabilities."""
+        return np.real(np.diagonal(self.matrix))
+
     def validate(self, check_psd: bool = True, tol: float = PSD_TOL) -> "DensityMatrix":
         """Opt-in PSD check (eigendecomposition; skipped on the hot path)."""
         if check_psd:
@@ -228,10 +233,18 @@ def apply_channel(state: DensityMatrix, channel: KrausChannel) -> DensityMatrix:
     return _apply_superop_tensor(state, channel._superop, channel.targets)
 
 
-def pauli_z_expectations(state: DensityMatrix) -> np.ndarray:
-    """[Tr(Z_1 rho), ..., Tr(Z_n rho)]; needs only diag(rho)."""
-    n = state.num_qubits
-    probs = np.real(np.diagonal(state.matrix)).reshape((2,) * n)
+def population_qubits(probs: np.ndarray) -> int:
+    """n for a population vector diag(rho) of length 2^n; ValueError otherwise."""
+    if probs.ndim != 1 or probs.size < 2 or probs.size & (probs.size - 1):
+        raise ValueError(f"need populations of length 2^n, got shape {probs.shape}")
+    return probs.size.bit_length() - 1
+
+
+def pauli_z_expectations(populations) -> np.ndarray:
+    """[Tr(Z_1 rho), ..., Tr(Z_n rho)] from the populations diag(rho)."""
+    probs = np.asarray(populations, dtype=np.float64)
+    n = population_qubits(probs)
+    probs = probs.reshape((2,) * n)
     out = np.empty(n)
     for i in range(n):
         axes = tuple(j for j in range(n) if j != i)

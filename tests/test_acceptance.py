@@ -173,12 +173,12 @@ def test_criterion_6_shot_estimator_calibration(capsys):
     for u in narma_task(2, length=12)[0]:
         state = apply_device_noise(state, profile,
                                    build_layer(float(u), layout, 2.0))
-    exact = pauli_z_expectations(state)
+    exact = pauli_z_expectations(state.populations)
     reps, shots = 200, 8192
     feats = np.empty((reps, 8))
     for r in range(reps):
         rng = np.random.default_rng([6, r])
-        bits = sample_bitstrings(state, shots, (0.0, 0.0), rng)
+        bits = sample_bitstrings(state.populations, shots, (0.0, 0.0), rng)
         feats[r] = 1.0 - 2.0 * bits.mean(axis=0)
     mean_err = float(np.abs(feats.mean(axis=0) - exact).max())
     mean_tol = 5.0 / np.sqrt(reps * shots)

@@ -110,7 +110,7 @@ def test_noiseless_layers_keep_z_expectations_at_zero():
     rng = np.random.default_rng(0)
     for u in rng.uniform(0, 0.2, size=10):
         st = apply_layer(st, build_layer(float(u), layout, 2.0))
-    assert np.abs(pauli_z_expectations(st)).max() < 1e-13
+    assert np.abs(pauli_z_expectations(st.populations)).max() < 1e-13
 
 
 def test_export_qasm_structure():

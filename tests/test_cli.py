@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qreservoir import (CapacityError, ConfigError, FeatureSeries, ProfileError,
-                        REFERENCE_T_START, load_noise_profile)
+                        REFERENCE_T_START, engine, load_noise_profile)
 from qreservoir.cli import (ExperimentConfig, TASKS, derive_seed,
                             export_circuits, main, parse_config, run_experiment)
 
@@ -196,11 +196,20 @@ def test_experiment_config_direct_validation():
     ("esn-sweep", "[input]\nlength = 99", ConfigError),
     ("esn-sweep", "[esn]\ninput_weights = binary", ConfigError),
     ("esn-sweep", "[esn]\nnodes = 0 2", ConfigError),
+    ("narma2", "num_qubits = 2\n[split]\nwashout = -5", ConfigError),
+    ("narma2", "num_qubits = 2\n[split]\ntrain = -4", ConfigError),
+    ("classify", "num_qubits = 2\n[classify]\ntimesteps = 20\nwashout = -3\n"
+     "samples_per_class = 3\nfolds = 3", ConfigError),
+    ("narma2", "num_qubits = 2\n[narma]\nlr_feature_lag = -1", ConfigError),
+    ("classify", "num_qubits = 2\n[classify]\nclasses = 1\ntimesteps = 20\n"
+     "washout = 5\nsamples_per_class = 3\nfolds = 3", ConfigError),
 ], ids=["odd-register", "over-capacity", "profile-size", "profile-edge",
         "folds-over-samples", "classify-washout-over-timesteps",
         "narma-windows-over-length", "stationarity-windows-over-length",
         "esn-windows-over-length", "esn-unknown-input-weights",
-        "esn-zero-nodes"])
+        "esn-zero-nodes", "split-negative-washout", "split-negative-train",
+        "classify-negative-washout", "narma-negative-feature-lag",
+        "classify-one-class"])
 def test_bad_experiment_fails_before_any_output(tmp_path, capsys, task,
                                                 sections, error):
     (tmp_path / "sized8.ini").write_text("[topology]\nnum_qubits = 8\n")
@@ -307,6 +316,41 @@ def test_run_classify_small(tmp_path):
     # washed rows: 30 raw -> 29 diffed -> 24 kept
     f0 = FeatureSeries.from_csv(tmp_path / "out" / "features" / "sample00.csv")
     assert f0.timesteps == 24
+
+
+def test_run_experiment_evolves_each_distinct_input_once(tmp_path,
+                                                         monkeypatch):
+    # the trajectory depends on the inputs, not on the trial or sample seed:
+    # 3 sampled NARMA trials share one evolution, and a classify run whose
+    # noise_amplitude = 0 makes every sample of a class identical evolves
+    # once per class; a second run evolves again (nothing is cached)
+    real = engine.apply_device_noise
+    steps = []
+    monkeypatch.setattr(engine, "apply_device_noise",
+                        lambda *args: steps.append(1) or real(*args))
+    narma = replace(parse_config(write_narma_config(tmp_path, trials=3)),
+                    shots=64, output_dir=str(tmp_path / "narma"))
+    run_experiment(narma)
+    assert len(steps) == narma.input_length
+
+    steps.clear()
+    (tmp_path / "noisy.ini").write_text(NOISY_PROFILE)
+    classify = parse_config(
+        "[experiment]\ntask = classify\n"
+        "[reservoir]\nnum_qubits = 2\nshots = 64\nprofile = noisy.ini\n"
+        "[classify]\nclasses = 3\nsamples_per_class = 3\ntimesteps = 20\n"
+        "folds = 3\nwashout = 5\nnoise_amplitude = 0.0\n",
+        base_dir=str(tmp_path))
+    per_run = classify.num_classes * (classify.timesteps - 1)
+    run_experiment(replace(classify, output_dir=str(tmp_path / "c1")))
+    assert len(steps) == per_run
+    run_experiment(replace(classify, output_dir=str(tmp_path / "c2")))
+    assert len(steps) == 2 * per_run
+    feats = [[(tmp_path / run / f"features/sample{i:02d}.csv").read_bytes()
+              for i in range(9)] for run in ("c1", "c2")]
+    assert feats[0] == feats[1]
+    # the three samples of class 0 share an evolution but not their shots
+    assert len(set(feats[0][:3])) == 3
 
 
 def test_run_esn_sweep_small(tmp_path):

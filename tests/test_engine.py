@@ -1,11 +1,13 @@
 """Trajectory engine: feature extraction, sampling, windows, locality."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from qreservoir import (ConfigError, CorruptedStateError, DensityMatrix,
+from qreservoir import (EXACT, ConfigError, CorruptedStateError, DensityMatrix,
                         DeviceNoiseProfile, FeatureSeries, ReservoirConfig,
-                        SubsystemLayout, apply_device_noise, basis_state,
+                        SubsystemLayout, Topology, apply_device_noise, basis_state,
                         build_layer, maximally_mixed, plus_state,
                         preset_profile, run_reservoir, sample_bitstrings,
                         split_series, trace_distance, zero_noise)
@@ -101,18 +103,55 @@ def test_sampled_prefix_rows_do_not_depend_on_later_inputs():
     assert np.array_equal(full.values[:8], short.values)
 
 
+_PROBABILITY = hst.floats(0.0, 1.0)
+_FLIP = hst.floats(0.0, 0.2)
+
+
+@hst.composite
+def _noisy_register(draw):
+    """A 2- or 4-qubit register with a random profile, readout flips included."""
+    n = draw(hst.sampled_from([2, 4]))
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    profile = draw(hst.builds(
+        DeviceNoiseProfile, p1=_PROBABILITY, p2=_PROBABILITY,
+        gamma_idle=_PROBABILITY, lambda_idle=_PROBABILITY,
+        zz_theta=hst.floats(-3.0, 3.0), readout_flip=hst.tuples(_FLIP, _FLIP),
+        topology=hst.lists(hst.sampled_from(edges), unique=True).map(
+            lambda e: Topology(n, tuple(e)))))
+    return SubsystemLayout.default(n), profile
+
+
+@settings(derandomize=True, deadline=None, max_examples=30, database=None)
+@given(register=_noisy_register(),
+       shots=hst.sampled_from([EXACT, 1, 7, 256]),
+       inputs=hst.lists(hst.floats(-1.0, 1.0), min_size=1, max_size=6),
+       seeds=hst.lists(hst.integers(0, 2 ** 32 - 1), min_size=1, max_size=7))
+def test_shared_evolution_matches_one_run_per_seed(register, shots, inputs,
+                                                   seeds):
+    # one evolution measured under many seeds gives, bit for bit, what one
+    # run per seed gives: features never depend on how trials are batched
+    layout, profile = register
+    cfg = ReservoirConfig(layout, scale=2.0, profile=profile, shots=shots,
+                          seed=12345)
+    batch = run_reservoir(inputs, cfg, seeds)
+    assert len(batch) == len(seeds)
+    for seed, feats in zip(seeds, batch):
+        alone = run_reservoir(inputs, replace(cfg, seed=seed))
+        assert np.array_equal(feats.values, alone.values)
+
+
 def test_sample_bitstrings_on_basis_state():
     rng = np.random.default_rng(0)
-    bits = sample_bitstrings(basis_state(2, 3), 50, (0.0, 0.0), rng)
+    bits = sample_bitstrings(basis_state(2, 3).populations, 50, (0.0, 0.0), rng)
     assert bits.shape == (50, 2)
     assert np.all(bits == 1)
 
 
 def test_sample_bitstrings_certain_readout_flips():
     rng = np.random.default_rng(0)
-    bits = sample_bitstrings(basis_state(2, 3), 50, (0.0, 1.0), rng)
+    bits = sample_bitstrings(basis_state(2, 3).populations, 50, (0.0, 1.0), rng)
     assert np.all(bits == 0)  # every 1 flips down, no 0s to flip up
-    bits = sample_bitstrings(basis_state(2, 0), 50, (1.0, 0.0), rng)
+    bits = sample_bitstrings(basis_state(2, 0).populations, 50, (1.0, 0.0), rng)
     assert np.all(bits == 1)
 
 
@@ -121,10 +160,10 @@ def test_sample_bitstrings_estimates_are_unbiased():
     m = np.kron(np.diag([0.9, 0.1]), np.diag([0.9, 0.1])).astype(complex)
     st = DensityMatrix(2, m)
     rng = np.random.default_rng(1)
-    bits = sample_bitstrings(st, 40000, (0.0, 0.0), rng)
+    bits = sample_bitstrings(st.populations, 40000, (0.0, 0.0), rng)
     z = 1.0 - 2.0 * bits.mean(axis=0)
     assert np.abs(z - 0.8).max() < 0.02
-    bits = sample_bitstrings(st, 40000, (0.1, 0.1), rng)
+    bits = sample_bitstrings(st.populations, 40000, (0.1, 0.1), rng)
     z = 1.0 - 2.0 * bits.mean(axis=0)
     assert np.abs(z - 0.8 * (1 - 2 * 0.1)).max() < 0.02
 
@@ -133,12 +172,14 @@ def test_sample_bitstrings_rejects_corrupted_diagonals():
     rng = np.random.default_rng(0)
     bad = DensityMatrix(1, np.diag([1.5, -0.5]).astype(complex), check=False)
     with pytest.raises(CorruptedStateError):
-        sample_bitstrings(bad, 10, (0.0, 0.0), rng)
+        sample_bitstrings(bad.populations, 10, (0.0, 0.0), rng)
     leaky = DensityMatrix(1, np.diag([0.6, 0.2]).astype(complex), check=False)
     with pytest.raises(CorruptedStateError):
-        sample_bitstrings(leaky, 10, (0.0, 0.0), rng)
+        sample_bitstrings(leaky.populations, 10, (0.0, 0.0), rng)
     with pytest.raises(ValueError):
-        sample_bitstrings(plus_state(1), 0, (0.0, 0.0), rng)
+        sample_bitstrings(plus_state(1).populations, 0, (0.0, 0.0), rng)
+    with pytest.raises(ValueError, match="populations of length 2"):
+        sample_bitstrings(np.array([0.5, 0.25, 0.25]), 10, (0.0, 0.0), rng)
 
 
 def test_reservoir_config_validation():

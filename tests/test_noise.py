@@ -264,6 +264,40 @@ def test_device_step_matches_sequential_reference_on_random_profiles(
     assert np.abs(got.matrix - want.matrix).max() < 1e-12
 
 
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(profile=hst.builds(
+           DeviceNoiseProfile, p1=_PROBABILITY, p2=_PROBABILITY,
+           gamma_idle=_PROBABILITY, lambda_idle=_PROBABILITY,
+           zz_theta=hst.floats(-3.0, 3.0),
+           topology=hst.sampled_from([Topology(2, ()), Topology(2, ((0, 1),))])),
+       u=hst.floats(-1.0, 1.0))
+def test_device_step_is_cptp_on_random_profiles(profile, u):
+    # Choi matrix C = sum_jk E_jk (x) Phi(E_jk) of one 2-qubit step. The step
+    # symmetrises its output, so it is only applied to Hermitian matrices and
+    # Phi(E_jk) = (Phi(E_jk + E_kj) - i Phi(i (E_jk - E_kj))) / 2 by linearity.
+    layer = build_layer(u, SubsystemLayout.default(2), 2.0)
+
+    def step(m):
+        state = DensityMatrix(2, m.astype(np.complex128), check=False)
+        return apply_device_noise(state, profile, layer).matrix
+
+    d = 4
+    choi = np.zeros((d, d, d, d), dtype=np.complex128)  # [j, a, k, b]
+    for j in range(d):
+        for k in range(d):
+            e = np.zeros((d, d))
+            e[j, k] = 1.0
+            if j == k:
+                choi[j, :, k, :] = step(e)
+            else:
+                choi[j, :, k, :] = (step(e + e.T) - 1j * step(1j * (e - e.T))) / 2
+    choi = choi.reshape(d * d, d * d)
+    assert np.abs(choi - choi.conj().T).max() <= 1e-12
+    assert np.linalg.eigvalsh(choi).min() >= -1e-12
+    partial = np.trace(choi.reshape(d, d, d, d), axis1=1, axis2=3)
+    assert np.abs(partial - np.eye(d)).max() <= 1e-12
+
+
 @pytest.mark.parametrize("profile", [
     DeviceNoiseProfile(zz_theta=0.1, topology=Topology(4, ((0, 1), (1, 2), (2, 3)))),
     DeviceNoiseProfile(gamma_idle=0.02, lambda_idle=0.01),

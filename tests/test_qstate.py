@@ -151,10 +151,18 @@ def test_apply_unitary_out_of_range_target():
 
 
 def test_pauli_z_expectations_on_basis_states():
-    assert np.allclose(pauli_z_expectations(basis_state(2, (0, 1))), [1, -1])
-    assert np.allclose(pauli_z_expectations(basis_state(3, (1, 0, 1))), [-1, 1, -1])
-    assert np.allclose(pauli_z_expectations(plus_state(3)), 0)
-    assert np.allclose(pauli_z_expectations(maximally_mixed(2)), 0)
+    assert np.allclose(pauli_z_expectations(basis_state(2, (0, 1)).populations), [1, -1])
+    assert np.allclose(pauli_z_expectations(basis_state(3, (1, 0, 1)).populations), [-1, 1, -1])
+    assert np.allclose(pauli_z_expectations(plus_state(3).populations), 0)
+    assert np.allclose(pauli_z_expectations(maximally_mixed(2).populations), 0)
+
+
+@pytest.mark.parametrize("populations", [
+    np.full(6, 1 / 6), np.ones(1), np.full((4, 4), 1 / 16),
+], ids=["length-6", "length-1", "two-dimensional"])
+def test_pauli_z_expectations_rejects_non_population_shapes(populations):
+    with pytest.raises(ValueError, match="populations of length 2"):
+        pauli_z_expectations(populations)
 
 
 def test_trace_distance_metric_properties():
