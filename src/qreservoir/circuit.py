@@ -1,6 +1,6 @@
 """Input-driven reservoir circuit: identical 5-gate blocks on disjoint qubit pairs.
 
-Per pair (i, j) one layer applies, in order:
+Per pair (i, j) one layer applies the gates of `PAIR_BLOCK` in order:
     RX_i(s), RX_j(s), CX_{i,j}, RZ_j(s), CX_{i,j}      with s = a * u.
 """
 from __future__ import annotations
@@ -20,6 +20,10 @@ _CX_MATRIX = np.array(
      [0, 0, 1, 0]], dtype=np.complex128)
 
 _H_MATRIX = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
+
+# The pair block in order: (gate, pair positions), 0 standing for i, 1 for j.
+PAIR_BLOCK = (("rx", (0,)), ("rx", (1,)), ("cx", (0, 1)), ("rz", (1,)),
+              ("cx", (0, 1)))
 
 
 def _rx_matrix(angle: float) -> np.ndarray:
@@ -92,22 +96,17 @@ class CircuitLayer:
 
     @cached_property
     def block(self) -> tuple:
-        """The matrices of RX_i, RX_j, CX_{i,j}, RZ_j, CX_{i,j}, shared by
-        every pair (single-qubit gates as 2x2, CX as 4x4)."""
+        """`PAIR_BLOCK` as (pair positions, matrix) steps shared by every pair
+        (single-qubit gates as 2x2, CX as 4x4)."""
         s = self.scale * self.input_value
-        rx = _rx_matrix(s)
-        return (rx, rx, _CX_MATRIX, _rz_matrix(s), _CX_MATRIX)
+        mats = {"rx": _rx_matrix(s), "rz": _rz_matrix(s), "cx": _CX_MATRIX}
+        return tuple((pos, mats[name]) for name, pos in PAIR_BLOCK)
 
     @cached_property
     def gates(self) -> tuple:
         """The block on each pair in layout order, as 5m targeted gates."""
-        rx, _, cx, rz, _ = self.block
-        gates = []
-        for i, j in self.layout.pairs:
-            gates += [UnitaryGate((i,), rx), UnitaryGate((j,), rx),
-                      UnitaryGate((i, j), cx), UnitaryGate((j,), rz),
-                      UnitaryGate((i, j), cx)]
-        return tuple(gates)
+        return tuple(UnitaryGate(tuple(pair[k] for k in pos), m)
+                     for pair in self.layout.pairs for pos, m in self.block)
 
 
 def build_layer(u: float, layout: SubsystemLayout, a: float) -> CircuitLayer:
@@ -133,9 +132,9 @@ def export_qasm(inputs, layout: SubsystemLayout, a: float) -> str:
     Deterministic output; angles printed with 17 significant digits so parsing
     them back recovers a * u exactly.
     """
-    inputs = [float(u) for u in inputs]
-    if not inputs:
-        raise ValueError("need at least one input value")
+    angles = [a * float(u) for u in inputs]
+    if not angles or not np.isfinite(angles).all():
+        raise ValueError(f"need at least one input and finite angles a * u, got a={a}")
     n = layout.num_qubits
     lines = [
         "OPENQASM 2.0;",
@@ -145,14 +144,12 @@ def export_qasm(inputs, layout: SubsystemLayout, a: float) -> str:
     ]
     for q in range(n):
         lines.append(f"h q[{q}];")
-    for u in inputs:
-        s = f"{a * u:.17g}"
-        for i, j in layout.pairs:
-            lines.append(f"rx({s}) q[{i}];")
-            lines.append(f"rx({s}) q[{j}];")
-            lines.append(f"cx q[{i}],q[{j}];")
-            lines.append(f"rz({s}) q[{j}];")
-            lines.append(f"cx q[{i}],q[{j}];")
+    for angle in angles:
+        s = f"({angle:.17g})"
+        for pair in layout.pairs:
+            for name, pos in PAIR_BLOCK:
+                qubits = ",".join(f"q[{pair[k]}]" for k in pos)
+                lines.append(f"{name}{'' if name == 'cx' else s} {qubits};")
     for q in range(n):
         lines.append(f"measure q[{q}] -> c[{q}];")
     return "\n".join(lines) + "\n"

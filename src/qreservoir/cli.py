@@ -85,7 +85,8 @@ class ExperimentConfig:
         for name, low in (("trials", 1), ("num_qubits", 1), ("input_length", 1),
                           ("folds", 1), ("esn_trials", 1), ("washout", 0),
                           ("train", 0), ("test", 0), ("lr_feature_lag", 0),
-                          ("class_washout", 0), ("num_classes", 2)):
+                          ("class_washout", 0), ("num_classes", 2),
+                          ("esn_narma_order", 1)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.scale is None:
@@ -94,7 +95,7 @@ class ExperimentConfig:
         # reject what the run would only fail on after its first outputs
         check_capacity(self.num_qubits)
         try:
-            self.layout()
+            self.reservoir(self.seed)  # layout, scale and shots
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         self.profile.topology.check_register(self.num_qubits)

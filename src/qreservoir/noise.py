@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import islice, product
 
 import numpy as np
 
@@ -17,8 +18,10 @@ from .inifile import parse_pairs, read_ini
 from .qstate import (DensityMatrix, KrausChannel, UnitaryGate,
                      _apply_superop_tensor)
 
+_I2 = np.eye(2, dtype=np.complex128)
+
 _PAULI = {
-    "I": np.eye(2, dtype=np.complex128),
+    "I": _I2,
     "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
     "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
     "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
@@ -113,17 +116,8 @@ def depolarizing_channel(p: float, k: int, targets) -> KrausChannel:
         ops.append(np.sqrt(1.0 - p_prime) * np.eye(1 << k, dtype=np.complex128))
     if p > 0.0:
         w = np.sqrt(p / four_k)
-        names = ["I", "X", "Y", "Z"]
-        if k == 1:
-            strings = [(_PAULI[a],) for a in names[1:]]
-        else:
-            strings = [(_PAULI[a], _PAULI[b]) for a in names for b in names
-                       if (a, b) != ("I", "I")]
-        for factors in strings:
-            m = factors[0]
-            for f in factors[1:]:
-                m = np.kron(m, f)
-            ops.append(w * m)
+        for names in islice(product("IXYZ", repeat=k), 1, None):  # skip I..I
+            ops.append(w * reduce(np.kron, [_PAULI[a] for a in names]))
     return KrausChannel(tuple(targets), tuple(ops))
 
 
@@ -155,30 +149,30 @@ def zz_crosstalk_gate(theta: float, edge) -> UnitaryGate:
     return UnitaryGate(tuple(edge), np.diag([lo, hi, hi, lo]))
 
 
-def _kraus_superop(ops) -> np.ndarray:
-    """sum_m K_m (x) conj(K_m): the channel as a matrix on vectorized states."""
-    return sum(np.kron(k, k.conj()) for k in ops)
+def _on_pair(pos, m) -> np.ndarray:
+    """A gate or Kraus operator at pair positions `pos` as a 4x4 matrix."""
+    if pos == (0,):
+        return np.kron(m, _I2)
+    if pos == (1,):
+        return np.kron(_I2, m)
+    return m
 
 
 @lru_cache(maxsize=128)
 def _noise_plan(profile: DeviceNoiseProfile, n: int):
     """Input-independent pieces of one n-qubit timestep, built once per profile.
 
-    Returns (crosstalk phase diagonal or None, gate-noise superoperators on a
-    pair (i, j) as (1-qubit depolarizing on i, on j, 2-qubit depolarizing on
-    both), each None when off, composed one-qubit idle superoperator tensor or
-    None). The crosstalk unitaries are all diagonal, so their product collapses
-    to a single phase vector.
+    Returns (crosstalk phase diagonal or None, {pair positions: 16x16
+    superoperator of the depolarizing that follows a gate there, if on},
+    composed one-qubit idle superoperator tensor or None). The crosstalk
+    unitaries are all diagonal, so their product collapses to one phase vector.
     """
-    i2 = np.eye(2, dtype=np.complex128)
-    dep1_i = dep1_j = dep2_ij = None
-    if profile.p1 > 0.0:
-        ops = depolarizing_channel(profile.p1, 1, (0,)).operators
-        dep1_i = _kraus_superop([np.kron(k, i2) for k in ops])
-        dep1_j = _kraus_superop([np.kron(i2, k) for k in ops])
-    if profile.p2 > 0.0:
-        dep2_ij = _kraus_superop(
-            depolarizing_channel(profile.p2, 2, (0, 1)).operators)
+    gate_noise = {}
+    for pos, p in (((0,), profile.p1), ((1,), profile.p1), ((0, 1), profile.p2)):
+        if p > 0.0:
+            ops = depolarizing_channel(p, len(pos), pos).operators
+            channel = KrausChannel((0, 1), tuple(_on_pair(pos, k) for k in ops))
+            gate_noise[pos] = channel._superop.reshape(16, 16)
     phases = None
     if profile.zz_theta != 0.0 and profile.topology.edges:
         signs = np.zeros(1 << n)
@@ -189,33 +183,27 @@ def _noise_plan(profile: DeviceNoiseProfile, n: int):
             signs += zi * zj
         phases = np.exp(-0.5j * profile.zz_theta * signs)
     idle = None
-    if profile.gamma_idle > 0.0:
-        idle = _kraus_superop(
-            amplitude_damping_channel(profile.gamma_idle, 0).operators)
-    if profile.lambda_idle > 0.0:
-        sup = _kraus_superop(phase_damping_channel(profile.lambda_idle, 0).operators)
-        idle = sup if idle is None else sup @ idle
+    for damping, g in ((amplitude_damping_channel, profile.gamma_idle),
+                       (phase_damping_channel, profile.lambda_idle)):
+        if g > 0.0:
+            sup = damping(g, 0)._superop.reshape(4, 4)
+            idle = sup if idle is None else sup @ idle
     if idle is not None:
         idle = idle.reshape((2,) * 4)
-    return phases, (dep1_i, dep1_j, dep2_ij), idle
+    return phases, gate_noise, idle
 
 
-def _pair_block_superop(mats, gate_noise) -> np.ndarray:
-    """Compose one pair's gates and gate-noise channels into a single 2-qubit
-    superoperator tensor. Exact: all factors act on the same pair."""
-    m0, m1, m2, m3, m4 = mats
-    dep1_i, dep1_j, dep2_ij = gate_noise
-    i2 = np.eye(2, dtype=np.complex128)
-
-    def unitary(u):
-        return np.kron(u, u.conj())
-
-    seq = [unitary(np.kron(m0, i2)), dep1_i,
-           unitary(np.kron(i2, m1)), dep1_j,
-           unitary(m2), dep2_ij,
-           unitary(np.kron(i2, m3)), dep1_j,
-           unitary(m4), dep2_ij]
-    total = reduce(lambda acc, t: t @ acc, [t for t in seq if t is not None])
+def _pair_block_superop(block, gate_noise) -> np.ndarray:
+    """Compose one pair's (positions, matrix) gate steps, each followed by the
+    gate noise at its positions, into a single 2-qubit superoperator tensor.
+    Exact: all factors act on the same pair."""
+    total = None
+    for pos, m in block:
+        u = _on_pair(pos, m)
+        step = np.kron(u, u.conj())
+        total = step if total is None else step @ total
+        if pos in gate_noise:
+            total = gate_noise[pos] @ total
     return total.reshape((2,) * 8)
 
 

@@ -1,10 +1,13 @@
 """Reservoir circuit construction, application, and QASM export."""
+import re
+
 import numpy as np
 import pytest
 
-from qreservoir import (CircuitLayer, SubsystemLayout, apply_layer, build_layer,
-                        cx_gate, export_qasm, hadamard_gate, pauli_z_expectations,
-                        plus_state, rx_gate, rz_gate)
+from qreservoir import (CircuitLayer, SubsystemLayout, apply_layer, apply_unitary,
+                        basis_state, build_layer, cx_gate, export_qasm,
+                        hadamard_gate, pauli_z_expectations, plus_state, rx_gate,
+                        rz_gate)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -140,6 +143,41 @@ def test_export_qasm_angle_round_trip():
     line = next(l for l in text.split("\n") if l.startswith("rx("))
     printed = float(line[line.index("(") + 1:line.index(")")])
     assert printed == a * u  # 17 significant digits reproduce the double exactly
+
+
+def test_export_qasm_runs_the_simulated_circuit():
+    # parse the exported program and simulate it gate by gate from |0000>:
+    # it must reach the state apply_layer reaches from |+>^4
+    layout = SubsystemLayout(4, ((0, 3), (1, 2)))
+    inputs, a = [0.3, -0.7], 2.0
+    line = re.compile(r"(h|rx|rz|cx)(?:\((.*)\))? q\[(\d)\](?:,q\[(\d)\])?;")
+    builders = {"h": lambda q, s: hadamard_gate(q[0]),
+                "rx": lambda q, s: rx_gate(q[0], float(s)),
+                "rz": lambda q, s: rz_gate(q[0], float(s)),
+                "cx": lambda q, s: cx_gate(*q)}
+    state = basis_state(4, 0)
+    applied = 0
+    for text in export_qasm(inputs, layout, a).splitlines():
+        m = line.fullmatch(text)
+        if m is None:
+            continue
+        name, angle, *qubits = m.groups()
+        qubits = [int(q) for q in qubits if q is not None]
+        state = apply_unitary(state, builders[name](qubits, angle))
+        applied += 1
+    assert applied == 4 + 5 * layout.num_pairs * len(inputs)
+    want = plus_state(4)
+    for u in inputs:
+        want = apply_layer(want, build_layer(u, layout, a))
+    assert np.abs(state.matrix - want.matrix).max() < 1e-12
+
+
+@pytest.mark.parametrize("inputs, a", [
+    ([0.1], float("nan")), ([0.1], float("inf")), ([0.1, float("inf")], 2.0),
+    ([1e200], 1e200)], ids=["scale-nan", "scale-inf", "input-inf", "overflow"])
+def test_export_qasm_rejects_non_finite_angles(inputs, a):
+    with pytest.raises(ValueError):
+        export_qasm(inputs, SubsystemLayout.default(2), a)
 
 
 def test_export_qasm_deterministic_and_rejects_empty():

@@ -203,13 +203,17 @@ def test_experiment_config_direct_validation():
     ("narma2", "num_qubits = 2\n[narma]\nlr_feature_lag = -1", ConfigError),
     ("classify", "num_qubits = 2\n[classify]\nclasses = 1\ntimesteps = 20\n"
      "washout = 5\nsamples_per_class = 3\nfolds = 3", ConfigError),
+    ("narma2", "num_qubits = 2\nscale = inf", ConfigError),
+    ("narma2", "num_qubits = 2\nscale = nan", ConfigError),
+    ("esn-sweep", "[esn]\nnarma_order = 0", ConfigError),
 ], ids=["odd-register", "over-capacity", "profile-size", "profile-edge",
         "folds-over-samples", "classify-washout-over-timesteps",
         "narma-windows-over-length", "stationarity-windows-over-length",
         "esn-windows-over-length", "esn-unknown-input-weights",
         "esn-zero-nodes", "split-negative-washout", "split-negative-train",
         "classify-negative-washout", "narma-negative-feature-lag",
-        "classify-one-class"])
+        "classify-one-class", "reservoir-scale-inf", "reservoir-scale-nan",
+        "esn-narma-order-0"])
 def test_bad_experiment_fails_before_any_output(tmp_path, capsys, task,
                                                 sections, error):
     (tmp_path / "sized8.ini").write_text("[topology]\nnum_qubits = 8\n")
@@ -410,14 +414,14 @@ def test_export_circuits_files_and_manifest(tmp_path):
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
-@pytest.mark.parametrize("name", ["narma2_demo", "stationarity"])
+@pytest.mark.parametrize("name", ["narma2_demo", "stationarity", "classify_exact"])
 def test_shipped_config_reproduces_committed_out(tmp_path, name):
     # out/ is the checked reference, regenerated only by a declared numerics
     # change. Manifests and summary table strings must match byte for byte;
     # every other number within rtol 1e-12, since the last bits of BLAS
     # results may differ between CPUs.
-    want_dir = ROOT / "out" / name
     cfg = parse_config(ROOT / "configs" / f"{name}.ini")
+    want_dir = ROOT / cfg.output_dir
     run_experiment(replace(cfg, output_dir=str(tmp_path)))
 
     def files(root):
@@ -507,6 +511,17 @@ def test_main_export_qasm_timesteps_flag(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["input_length"] == 30
     assert [e["t"] for e in manifest["circuits"]] == [1, 2]
+
+
+def test_main_export_qasm_rejects_non_finite_scale(tmp_path, capsys):
+    path = tmp_path / "nan.ini"
+    path.write_text("[experiment]\ntask = narma2\n"
+                    "[reservoir]\nnum_qubits = 2\nscale = nan\n")
+    out = tmp_path / "qasm_out"
+    assert main(["export-qasm", "--config", str(path),
+                 "--output-dir", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert not out.exists()
 
 
 def test_main_reports_errors_as_json(tmp_path, capsys):
