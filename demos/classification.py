@@ -8,8 +8,7 @@ on the raw differenced series.
 import numpy as np
 
 from qreservoir import (ReservoirConfig, SubsystemLayout, fit_classifier,
-                        fit_linear_classifier_baseline, gen_synthetic_sensor,
-                        k_fold_cv, linear_classifier_pipeline, predict_class,
+                        gen_synthetic_sensor, k_fold_cv, predict_class,
                         preprocess_diff, preset_profile, run_reservoir)
 
 WASHOUT = 40  # keep rows t=41..89 of each 89-step feature block
@@ -26,9 +25,9 @@ inputs = [preprocess_diff(s) for s in dataset.series]
 blocks = [run_reservoir(u, config).values[WASHOUT:] for u in inputs]
 labels = dataset.labels
 
-qr = k_fold_cv(blocks, labels, FOLDS, linear_classifier_pipeline(), seed=0)
+qr = k_fold_cv(blocks, labels, FOLDS, seed=0)
 raw = [u[WASHOUT:] for u in inputs]
-linear = fit_linear_classifier_baseline(raw, labels, k=FOLDS, seed=0)
+linear = k_fold_cv(raw, labels, FOLDS, seed=0)
 
 print(f"\nQR      {FOLDS}-fold accuracy: {qr.mean_accuracy:.3f} "
       f"+- {qr.std_accuracy:.3f}")
@@ -39,7 +38,7 @@ print(f"\nlinear  {FOLDS}-fold accuracy: {linear.mean_accuracy:.3f} "
 print("confusion:")
 print(linear.confusion)
 
-w_full = fit_classifier(blocks, labels, num_classes=3)
+w_full = fit_classifier(blocks, labels)
 p = predict_class(w_full, blocks[0])
 print(f"\nsample 0: true class {labels[0]}, predicted {p.class_index}, "
       f"scores {np.round(p.scores, 3)}")

@@ -25,8 +25,7 @@ from .engine import (EXACT, FeatureSeries, ReservoirConfig, evolve, measure,
                      run_reservoir, sample_bitstrings, split_series)
 from .readout import (ClassPrediction, CvReport, LinearBaselineResult,
                       ReadoutWeights, fit_classifier, fit_linear_baseline,
-                      fit_linear_classifier_baseline, fit_regression,
-                      k_fold_cv, linear_classifier_pipeline, nmse, predict,
+                      fit_regression, k_fold_cv, nmse, predict,
                       predict_class, stratified_folds)
 from .benchmarks import (DEFAULT_NODE_COUNTS, DEFAULT_RADIUS_GRID,
                          REFERENCE_T_START, EsnNodeResult, EsnSweepReport,
@@ -59,9 +58,7 @@ __all__ = [
     # readout training
     "ReadoutWeights", "fit_regression", "predict", "nmse", "fit_classifier",
     "ClassPrediction", "predict_class", "CvReport", "stratified_folds",
-    "k_fold_cv",
-    "linear_classifier_pipeline", "LinearBaselineResult", "fit_linear_baseline",
-    "fit_linear_classifier_baseline",
+    "k_fold_cv", "LinearBaselineResult", "fit_linear_baseline",
     # benchmarks
     "InputSignalSpec", "input_signal_value", "gen_input",
     "REFERENCE_T_START", "NarmaSpec", "gen_narma",

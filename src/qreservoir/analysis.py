@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import FeatureSeries
+from .engine import FeatureSeries, check_split
 
 VARIANCE_CONVENTIONS = ("population", "sample")
 
@@ -83,13 +83,9 @@ def stationarity_report(series, split, variance: str = "population") -> Stationa
         values = np.asarray(series, dtype=np.float64)
         if values.ndim == 1:
             values = values[:, None]
-    washout, train, test = split
+    washout, train, test = check_split(split, values.shape[0])
     if train < 1 or test < 1:
         raise ValueError(f"both windows must be nonempty, got split {split}")
-    if washout + train + test > values.shape[0]:
-        raise ValueError(
-            f"windows need {washout + train + test} rows, series has "
-            f"{values.shape[0]}")
     ddof = 0 if variance == "population" else 1
     tr = values[washout:washout + train]
     te = values[washout + train:washout + train + test]

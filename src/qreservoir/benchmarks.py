@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import check_split
 from .errors import ConfigError, DivergenceError
 
 DIVERGENCE_LIMIT = 1e6
@@ -295,10 +296,8 @@ def esn_sweep(inputs, targets, split, node_counts=DEFAULT_NODE_COUNTS,
     u = np.asarray(inputs, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
     check_esn_grid(node_counts, radii, input_weight_style)
-    washout, train, test = split
     m = u.size
-    if washout + train + test > m:
-        raise ConfigError(f"windows exceed series length {m}")
+    washout, train, test = check_split(split, m)
     tr = slice(washout, washout + train)
     te = slice(washout + train, washout + train + test)
     results = []

@@ -27,10 +27,8 @@ from .errors import ConfigError, QReservoirError
 from .inifile import parse_pairs, read_ini
 from .noise import DeviceNoiseProfile, load_noise_profile, zero_noise
 from .qstate import check_capacity
-from .readout import (fit_classifier, fit_linear_baseline,
-                      fit_linear_classifier_baseline, fit_regression, k_fold_cv,
-                      linear_classifier_pipeline, nmse, predict, predict_class,
-                      stratified_folds)
+from .readout import (fit_classifier, fit_linear_baseline, fit_regression,
+                      k_fold_cv, nmse, predict, predict_class)
 
 TASKS = ("narma2", "narma5", "narma10", "classify", "esn-sweep", "stationarity")
 
@@ -334,18 +332,15 @@ def _run_classify(config: ExperimentConfig, out: str) -> dict:
     for i, block in enumerate(blocks):
         FeatureSeries(block).to_csv(os.path.join(feat_dir, f"sample{i:02d}.csv"))
 
-    report = k_fold_cv(blocks, labels, config.folds,
-                       linear_classifier_pipeline(), seed=config.seed)
-    linear = fit_linear_classifier_baseline(
-        [u[config.class_washout:] for u in inputs], labels,
-        k=config.folds, seed=config.seed)
+    report = k_fold_cv(blocks, labels, config.folds, seed=config.seed)
+    linear = k_fold_cv([u[config.class_washout:] for u in inputs], labels,
+                       config.folds, seed=config.seed)
 
+    folds_of = np.empty(labels.size, dtype=int)
+    for fi, fold in enumerate(report.folds):
+        folds_of[fold] = fi
     preds = []
-    folds_of = {}
-    for fi, fold in enumerate(stratified_folds(labels, config.folds, config.seed)):
-        for i in fold:
-            folds_of[int(i)] = fi
-    full_weights = fit_classifier(blocks, labels, num_classes=config.num_classes)
+    full_weights = fit_classifier(blocks, labels)
     for i, block in enumerate(blocks):
         p = predict_class(full_weights, block)
         preds.append((i, int(labels[i]), p.class_index, int(p.tie), folds_of[i]))

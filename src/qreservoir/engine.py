@@ -152,16 +152,23 @@ def run_reservoir(inputs, config: ReservoirConfig, seeds=None):
     return [measure(populations, replace(config, seed=s)) for s in seeds]
 
 
-def split_series(features: FeatureSeries, washout: int, train: int, test: int):
-    """Washout/train/test windows: rows t in [washout+1, washout+train] and
-    (washout+train, washout+train+test], 1-based."""
+def check_split(split, length: int) -> tuple:
+    """Return the (washout, train, test) window triple, or raise ConfigError
+    if a window is negative or together they need more than `length` rows."""
+    washout, train, test = split
     for name, v in (("washout", washout), ("train", train), ("test", test)):
         if v < 0:
             raise ConfigError(f"{name} must be >= 0, got {v}")
     total = washout + train + test
-    if total > features.timesteps:
-        raise ConfigError(
-            f"windows need {total} timesteps, series has {features.timesteps}")
+    if total > length:
+        raise ConfigError(f"windows need {total} rows, series has {length}")
+    return washout, train, test
+
+
+def split_series(features: FeatureSeries, washout: int, train: int, test: int):
+    """Washout/train/test windows: rows t in [washout+1, washout+train] and
+    (washout+train, washout+train+test], 1-based."""
+    check_split((washout, train, test), features.timesteps)
     a, b = washout, washout + train
     return (FeatureSeries(features.values[a:b]),
             FeatureSeries(features.values[b:b + test]))

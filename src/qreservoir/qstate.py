@@ -71,12 +71,11 @@ class DensityMatrix:
         """diag(rho) as floats: the computational-basis outcome probabilities."""
         return np.real(np.diagonal(self.matrix))
 
-    def validate(self, check_psd: bool = True, tol: float = PSD_TOL) -> "DensityMatrix":
+    def validate(self) -> "DensityMatrix":
         """Opt-in PSD check (eigendecomposition; skipped on the hot path)."""
-        if check_psd:
-            lo = np.linalg.eigvalsh(self.matrix).min()
-            if lo < -tol:
-                raise ValueError(f"not positive semidefinite: min eigenvalue {lo:.3e}")
+        lo = np.linalg.eigvalsh(self.matrix).min()
+        if lo < -PSD_TOL:
+            raise ValueError(f"not positive semidefinite: min eigenvalue {lo:.3e}")
         return self
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import FeatureSeries
+from .engine import FeatureSeries, check_split
 
 DEFAULT_RCOND = 1e-10
 
@@ -50,19 +50,6 @@ class ReadoutWeights:
     def num_outputs(self) -> int:
         return self.matrix.shape[1]
 
-    def to_csv(self, path) -> None:
-        # one row per feature, one column per output, final row = bias
-        np.savetxt(path, self.matrix, delimiter=",", fmt="%.17g")
-
-    @classmethod
-    def from_csv(cls, path) -> "ReadoutWeights":
-        return cls(np.loadtxt(path, delimiter=",", ndmin=2))
-
-
-def _solve(x_aug: np.ndarray, y: np.ndarray) -> np.ndarray:
-    w, *_ = np.linalg.lstsq(x_aug, y, rcond=DEFAULT_RCOND)
-    return w
-
 
 def fit_regression(features, targets) -> ReadoutWeights:
     """Minimum-norm least-squares readout (SVD cutoff DEFAULT_RCOND * sigma_max)."""
@@ -75,7 +62,8 @@ def fit_regression(features, targets) -> ReadoutWeights:
         raise ValueError("need at least one sample")
     if not np.isfinite(rows).all() or not np.isfinite(y).all():
         raise ValueError("non-finite features or targets")
-    w = _solve(_with_bias(rows), y if y.ndim > 1 else y[:, None])
+    w, *_ = np.linalg.lstsq(_with_bias(rows), y if y.ndim > 1 else y[:, None],
+                            rcond=DEFAULT_RCOND)
     return ReadoutWeights(w)
 
 
@@ -89,14 +77,12 @@ def predict(weights: ReadoutWeights, features) -> np.ndarray:
     return out[:, 0] if weights.num_outputs == 1 else out
 
 
-def nmse(predictions, targets, window=None) -> float:
-    """sum((y_hat - y)^2) / sum(y^2) over the window (whole series if None)."""
+def nmse(predictions, targets) -> float:
+    """sum((y_hat - y)^2) / sum(y^2)."""
     p = np.asarray(predictions, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
     if p.shape != y.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {y.shape}")
-    if window is not None:
-        p, y = p[window], y[window]
     if y.size == 0:
         raise ValueError("empty evaluation window")
     power = float(np.sum(y * y))
@@ -105,15 +91,10 @@ def nmse(predictions, targets, window=None) -> float:
     return float(np.sum((p - y) ** 2)) / power
 
 
-def _one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    out = np.zeros((labels.size, num_classes))
-    out[np.arange(labels.size), labels] = 1.0
-    return out
-
-
-def fit_classifier(blocks, labels, num_classes=None) -> ReadoutWeights:
+def fit_classifier(blocks, labels) -> ReadoutWeights:
     """Concatenate per-sample feature blocks (rows = timesteps), repeat each
-    sample's one-hot target at every timestep, solve by pseudoinverse.
+    sample's one-hot target at every timestep, and fit `fit_regression`.
+    Labels must cover every class 0..labels.max().
     """
     blocks = [_feature_rows(b) for b in blocks]
     labels = np.asarray(labels, dtype=int)
@@ -124,16 +105,14 @@ def fit_classifier(blocks, labels, num_classes=None) -> ReadoutWeights:
         if b.shape[1] != width:
             raise ValueError(
                 f"inconsistent block widths: {b.shape[1]} vs {width}")
-    k = int(num_classes) if num_classes is not None else int(labels.max()) + 1
+    k = int(labels.max()) + 1
     if k < 2:
         raise ValueError(f"need at least 2 classes, got {k}")
-    present = np.unique(labels)
-    missing = sorted(set(range(k)) - set(present.tolist()))
-    if missing or labels.min() < 0 or labels.max() >= k:
+    missing = sorted(set(range(k)) - set(labels.tolist()))
+    if missing or labels.min() < 0:
         raise ValueError(f"labels must cover 0..{k - 1}; missing classes {missing}")
-    x = np.vstack(blocks)
-    y = np.repeat(_one_hot(labels, k), [b.shape[0] for b in blocks], axis=0)
-    return ReadoutWeights(_solve(_with_bias(x), y))
+    y = np.repeat(np.eye(k)[labels], [b.shape[0] for b in blocks], axis=0)
+    return fit_regression(np.vstack(blocks), y)
 
 
 @dataclass(frozen=True)
@@ -164,7 +143,7 @@ def predict_class(weights: ReadoutWeights, block) -> ClassPrediction:
 class CvReport:
     fold_accuracies: np.ndarray
     confusion: np.ndarray            # aggregated over folds; rows = true class
-    per_fold_confusions: tuple
+    folds: list                      # the stratified_folds partition used
 
     @property
     def mean_accuracy(self) -> float:
@@ -193,28 +172,26 @@ def stratified_folds(labels, k: int, seed: int = 0):
     return [np.array(sorted(f), dtype=int) for f in folds]
 
 
-def k_fold_cv(samples, labels, k: int, pipeline, seed: int = 0) -> CvReport:
-    """pipeline(train_samples, train_labels) must return a callable mapping one
-    sample to a predicted class index."""
+def k_fold_cv(samples, labels, k: int, seed: int = 0) -> CvReport:
+    """Stratified k-fold CV of the winner-takes-all readout: per fold, fit
+    `fit_classifier` on the training samples (feature blocks, or raw series
+    read as one-feature blocks) and `predict_class` each held-out sample."""
     labels = np.asarray(labels, dtype=int)
     if len(samples) != labels.size:
         raise ValueError(f"{len(samples)} samples vs {labels.size} labels")
     num_classes = int(labels.max()) + 1
     folds = stratified_folds(labels, k, seed)
     accs = np.empty(k)
-    confusions = []
+    confusion = np.zeros((num_classes, num_classes), dtype=int)
     for fi, test_idx in enumerate(folds):
         mask = np.ones(labels.size, dtype=bool)
         mask[test_idx] = False
         train_idx = np.flatnonzero(mask)
-        predictor = pipeline([samples[i] for i in train_idx], labels[train_idx])
-        conf = np.zeros((num_classes, num_classes), dtype=int)
-        for i in test_idx:
-            pred = predictor(samples[i])
-            conf[labels[i], int(pred)] += 1
-        confusions.append(conf)
-        accs[fi] = np.trace(conf) / conf.sum()
-    return CvReport(accs, np.sum(confusions, axis=0), tuple(confusions))
+        weights = fit_classifier([samples[i] for i in train_idx], labels[train_idx])
+        preds = [predict_class(weights, samples[i]).class_index for i in test_idx]
+        np.add.at(confusion, (labels[test_idx], preds), 1)
+        accs[fi] = np.mean(labels[test_idx] == preds)
+    return CvReport(accs, confusion, folds)
 
 
 @dataclass(frozen=True)
@@ -236,10 +213,7 @@ def fit_linear_baseline(inputs, targets, split,
     y = np.asarray(targets, dtype=np.float64)
     if u.shape != y.shape or u.ndim != 1:
         raise ValueError(f"need matching 1-d series, got {u.shape} vs {y.shape}")
-    washout, train, test = split
-    if washout + train + test > y.size:
-        raise ValueError(
-            f"windows need {washout + train + test} rows, series has {y.size}")
+    washout, train, test = check_split(split, y.size)
 
     def lagged(idx0):  # 0-based target rows -> feature values
         src = idx0 - feature_lag
@@ -256,19 +230,3 @@ def fit_linear_baseline(inputs, targets, split,
         weight=float(weight), bias=float(bias),
         nmse_train=nmse(predict(weights, lagged(tr)), y[tr]),
         nmse_test=nmse(predict(weights, lagged(te)), y[te]))
-
-
-def linear_classifier_pipeline():
-    """k_fold_cv pipeline of the winner-takes-all linear readout: fit
-    `fit_classifier` on the training samples (feature blocks, or raw series
-    read as one-feature blocks), then `predict_class` each held-out sample."""
-    def fit(train_samples, train_labels):
-        weights = fit_classifier(train_samples, train_labels)
-        return lambda sample: predict_class(weights, sample).class_index
-    return fit
-
-
-def fit_linear_classifier_baseline(samples, labels, k: int = 10,
-                                   seed: int = 0) -> CvReport:
-    """k-fold CV of the scalar linear classifier on raw series."""
-    return k_fold_cv(samples, labels, k, linear_classifier_pipeline(), seed=seed)

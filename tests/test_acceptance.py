@@ -243,19 +243,15 @@ def test_criterion_8_classification_pipeline(capsys):
     blocks = [per_class[label] for label in dataset.labels]
     labels = dataset.labels
 
-    def pipeline(train_blocks, train_labels):
-        w = fit_classifier(train_blocks, train_labels, num_classes=3)
-        return lambda b: predict_class(w, b).class_index
-
-    cv = k_fold_cv(blocks, labels, 10, pipeline, seed=0)
+    cv = k_fold_cv(blocks, labels, 10, seed=0)
     acc_ok = cv.mean_accuracy == 1.0
 
     shuffled = np.random.default_rng(7).permutation(labels)
-    cv_sh = k_fold_cv(blocks, shuffled, 10, pipeline, seed=0)
+    cv_sh = k_fold_cv(blocks, shuffled, 10, seed=0)
     sigma = np.sqrt((1 / 3) * (2 / 3) / labels.size)
     chance_ok = abs(cv_sh.mean_accuracy - 1 / 3) <= 3 * sigma
 
-    w_full = fit_classifier(blocks, labels, num_classes=3)
+    w_full = fit_classifier(blocks, labels)
     wta_ok = True
     for block in blocks:
         pred = predict_class(w_full, block)

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from qreservoir import (ChannelGap, FeatureSeries, gap_summary,
+from qreservoir import (ChannelGap, ConfigError, FeatureSeries, gap_summary,
                         stationarity_report)
 
 
@@ -58,7 +58,7 @@ def test_report_validation():
     series = np.arange(6.0)
     with pytest.raises(ValueError):
         stationarity_report(series, (0, 0, 3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         stationarity_report(series, (2, 3, 3))
     with pytest.raises(ValueError):
         stationarity_report(series, (0, 3, 3), variance="unbiased")

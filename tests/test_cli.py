@@ -414,7 +414,8 @@ def test_export_circuits_files_and_manifest(tmp_path):
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
-@pytest.mark.parametrize("name", ["narma2_demo", "stationarity", "classify_exact"])
+@pytest.mark.parametrize("name", ["narma2_demo", "stationarity", "classify_exact",
+                                  "esn_sweep_narma2"])
 def test_shipped_config_reproduces_committed_out(tmp_path, name):
     # out/ is the checked reference, regenerated only by a declared numerics
     # change. Manifests and summary table strings must match byte for byte;

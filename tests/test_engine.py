@@ -1,4 +1,5 @@
 """Trajectory engine: feature extraction, sampling, windows, locality."""
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -8,9 +9,11 @@ from hypothesis import given, settings, strategies as hst
 from qreservoir import (EXACT, ConfigError, CorruptedStateError, DensityMatrix,
                         DeviceNoiseProfile, FeatureSeries, ReservoirConfig,
                         SubsystemLayout, Topology, apply_device_noise, basis_state,
-                        build_layer, maximally_mixed, plus_state,
-                        preset_profile, run_reservoir, sample_bitstrings,
-                        split_series, trace_distance, zero_noise)
+                        build_layer, esn_sweep, fit_linear_baseline,
+                        maximally_mixed, plus_state, preset_profile,
+                        run_reservoir, sample_bitstrings, split_series,
+                        stationarity_report, trace_distance, zero_noise)
+from qreservoir.cli import main
 
 RNG = np.random.default_rng(42)
 INPUTS_20 = RNG.uniform(0.0, 0.2, size=20)
@@ -232,3 +235,37 @@ def test_split_series_windows():
         split_series(f, washout=2, train=3, test=2)
     with pytest.raises(ConfigError):
         split_series(f, washout=-1, train=3, test=1)
+
+
+_SPLIT_CALLS = {
+    "split_series": lambda u, y, split: split_series(FeatureSeries(u[:, None]),
+                                                     *split),
+    "stationarity_report": lambda u, y, split: stationarity_report(y, split),
+    "fit_linear_baseline": lambda u, y, split: fit_linear_baseline(u, y, split),
+    "esn_sweep": lambda u, y, split: esn_sweep(u, y, split, node_counts=(2,),
+                                               radii=(0.9,), trials=1),
+}
+
+
+@pytest.mark.parametrize("split", [(-5, 20, 10), (5, -2, 10), (5, 20, -1),
+                                   (5, 20, 6)],
+                         ids=["negative-washout", "negative-train",
+                              "negative-test", "over-length"])
+@pytest.mark.parametrize("entry", [*_SPLIT_CALLS, "analyze-cli"])
+def test_every_split_entry_point_rejects_bad_windows(tmp_path, capsys, entry,
+                                                     split):
+    # one engine check guards every (washout, train, test) consumer, so no
+    # negative window wraps around or leaves an empty training slice
+    rng = np.random.default_rng(3)
+    u = rng.uniform(0.0, 0.2, size=30)
+    y = np.sin(np.arange(30.0)) + 2.0
+    if entry in _SPLIT_CALLS:
+        with pytest.raises(ConfigError):
+            _SPLIT_CALLS[entry](u, y, split)
+        return
+    path = tmp_path / "features.csv"
+    FeatureSeries(np.column_stack([u, y])).to_csv(path)
+    washout, train, test = (str(v) for v in split)
+    assert main(["analyze", "--features", str(path), "--washout", washout,
+                 "--train", train, "--test", test]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
