@@ -20,7 +20,7 @@ profile = preset_profile("strong-dense", 4)
 config = ReservoirConfig(SubsystemLayout.default(4), scale=float(np.pi),
                          profile=profile)
 
-print("running", len(dataset.samples), "reservoir trajectories...")
+print("running", len(dataset.labels), "reservoir trajectories...")
 inputs = [preprocess_diff(s) for s in dataset.series]
 blocks = [run_reservoir(u, config).values[WASHOUT:] for u in inputs]
 labels = dataset.labels

@@ -112,9 +112,6 @@ def gap_summary(report: StationarityReport):
     entries = []
     ratio = report.var_ratio
     for i in range(report.num_channels):
-        if ratio[i] in (0.0, np.inf) or np.isnan(ratio[i]):
-            lg = np.inf if ratio[i] != 1.0 else 0.0
-        else:
-            lg = abs(float(np.log(ratio[i])))
+        lg = abs(float(np.log(ratio[i]))) if 0 < ratio[i] < np.inf else np.inf
         entries.append(ChannelGap(i, float(report.abs_mean_gap[i]), lg))
     return sorted(entries, key=lambda e: (-e.abs_mean_gap, -e.log_var_gap, e.channel))

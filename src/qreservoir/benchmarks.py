@@ -10,6 +10,7 @@ import numpy as np
 
 from .engine import check_split
 from .errors import ConfigError, DivergenceError
+from .readout import check_labels
 
 DIVERGENCE_LIMIT = 1e6
 
@@ -19,118 +20,89 @@ DIVERGENCE_LIMIT = 1e6
 REFERENCE_T_START = -1
 
 
+# The drive u(t) = INPUT_AMPLITUDE * (prod_k sin(2 pi f_k t / INPUT_PERIOD) + 1)
+# for the three frequencies f_k.
+INPUT_FREQUENCIES = (2.11, 3.73, 4.11)
+INPUT_PERIOD = 100.0
+INPUT_AMPLITUDE = 0.1
+
+
 @dataclass(frozen=True)
 class InputSignalSpec:
-    """Product-of-three-sines drive: u = amplitude * (sin(2 pi a t / T) *
-    sin(2 pi b t / T) * sin(2 pi c t / T) + 1), evaluated at t = t_start,
-    t_start + 1, ... for `length` samples."""
+    """The triple-sine drive evaluated at t = t_start, t_start + 1, ... for
+    `length` samples."""
 
-    alpha_bar: float = 2.11
-    beta_bar: float = 3.73
-    gamma_bar: float = 4.11
-    period: float = 100.0
-    amplitude: float = 0.1
     length: int = 100
     t_start: int = 1
 
     def __post_init__(self):
-        if self.period <= 0:
-            raise ConfigError(f"period must be positive, got {self.period}")
         if self.length < 1:
             raise ConfigError(f"length must be >= 1, got {self.length}")
 
 
-def input_signal_value(spec: InputSignalSpec, t) -> np.ndarray:
+def input_signal_value(t) -> np.ndarray:
     """The drive formula at time t (scalar or array)."""
-    w = 2 * np.pi * np.asarray(t, dtype=np.float64) / spec.period
-    prod = (np.sin(spec.alpha_bar * w) * np.sin(spec.beta_bar * w)
-            * np.sin(spec.gamma_bar * w))
-    return spec.amplitude * (prod + 1.0)
+    w = 2 * np.pi * np.asarray(t, dtype=np.float64) / INPUT_PERIOD
+    a, b, c = INPUT_FREQUENCIES
+    return INPUT_AMPLITUDE * (np.sin(a * w) * np.sin(b * w) * np.sin(c * w) + 1.0)
 
 
 def gen_input(spec: InputSignalSpec) -> np.ndarray:
-    ts = np.arange(spec.t_start, spec.t_start + spec.length)
-    return input_signal_value(spec, ts)
+    return input_signal_value(np.arange(spec.t_start, spec.t_start + spec.length))
 
 
 @dataclass(frozen=True)
 class NarmaSpec:
-    """NARMA recurrence parameters.
+    """NARMA recurrence of the given order, from zero history (y_t = u_t = 0
+    for t < 1).
 
-    variant 'narma2': y_{t+1} = 0.4 y_t + 0.4 y_t y_{t-1} + 0.6 u_t^3 + 0.1.
-    variant 'general': y_{t+1} = alpha y_t + beta y_t (sum_{j<order} y_{t-j})
-                               + gamma u_{t-order+1} u_t + delta.
-    initial_history supplies (y_1, y_0, y_{-1}, ...); missing entries are 0.
+    order 2:      y_{t+1} = 0.4 y_t + 0.4 y_t y_{t-1} + 0.6 u_t^3 + 0.1.
+    other orders: y_{t+1} = 0.3 y_t + 0.05 y_t (sum_{j<order} y_{t-j})
+                            + 1.5 u_{t-order+1} u_t + 0.1.
     """
 
-    variant: str = "narma2"
     order: int = 2
-    alpha: float = 0.3
-    beta: float = 0.05
-    gamma: float = 1.5
-    delta: float = 0.1
-    initial_history: tuple = ()
 
     def __post_init__(self):
-        if self.variant not in ("narma2", "general"):
-            raise ConfigError(f"variant must be 'narma2' or 'general', got {self.variant!r}")
-        if self.variant == "general" and self.order < 1:
+        if self.order < 1:
             raise ConfigError(f"order must be >= 1, got {self.order}")
-        object.__setattr__(self, "initial_history",
-                           tuple(float(v) for v in self.initial_history))
 
     @classmethod
     def narma2(cls) -> "NarmaSpec":
-        return cls(variant="narma2", order=2)
-
-    @classmethod
-    def general(cls, order: int) -> "NarmaSpec":
-        return cls(variant="general", order=order)
+        return cls(order=2)
 
 
 def gen_narma(spec: NarmaSpec, inputs) -> np.ndarray:
-    """Iterate the recurrence over t = 1..M-1, producing y_2..y_M; y_1 comes
-    from the initial history. Aborts if |y| exceeds 1e6."""
+    """Iterate the recurrence over t = 1..M-1, producing y_2..y_M after
+    y_1 = 0. Aborts if |y| exceeds 1e6."""
     u = np.asarray(inputs, dtype=np.float64)
     if u.ndim != 1 or u.size < 1:
         raise ConfigError(f"need a 1-d input sequence, got shape {u.shape}")
-    m = u.size
-    hist = spec.initial_history
-    y = np.zeros(m)
-
-    def yval(t):  # 1-based, t <= 1 reads the history
-        if t >= 1:
-            return y[t - 1]
-        idx = 1 - t
-        return hist[idx] if idx < len(hist) else 0.0
-
-    def uval(t):  # 1-based, zero-padded outside the series
-        return u[t - 1] if 1 <= t <= m else 0.0
-
-    y[0] = hist[0] if hist else 0.0
+    m, order = u.size, spec.order
+    pad = max(order, 2) - 1  # zero history reaches back pad steps before t = 1
+    y = np.zeros(pad + m)  # y[pad + t - 1] holds y_t
+    up = np.concatenate([np.zeros(pad), u])  # up[pad + t - 1] holds u_t
     for t in range(1, m):
-        if spec.variant == "narma2":
-            nxt = (0.4 * yval(t) + 0.4 * yval(t) * yval(t - 1)
-                   + 0.6 * uval(t) ** 3 + 0.1)
+        i = pad + t - 1
+        if order == 2:
+            nxt = 0.4 * y[i] + 0.4 * y[i] * y[i - 1] + 0.6 * up[i] ** 3 + 0.1
         else:
-            acc = sum(yval(t - j) for j in range(spec.order))
-            nxt = (spec.alpha * yval(t) + spec.beta * yval(t) * acc
-                   + spec.gamma * uval(t - spec.order + 1) * uval(t) + spec.delta)
+            acc = sum(y[i - j] for j in range(order))
+            nxt = (0.3 * y[i] + 0.05 * y[i] * acc
+                   + 1.5 * up[i - order + 1] * up[i] + 0.1)
         if not np.isfinite(nxt) or abs(nxt) > DIVERGENCE_LIMIT:
             raise DivergenceError(
-                f"target series diverged at t={t + 1}: y={nxt!r} "
-                f"(variant={spec.variant}, order={spec.order})")
-        y[t] = nxt
-    return y
+                f"target series diverged at t={t + 1}: y={nxt!r} (order={order})")
+        y[i + 1] = nxt
+    return y[pad:]
 
 
 def narma_task(order: int, length: int = 100,
                t_start: int = REFERENCE_T_START):
     """(inputs, targets) for the standard benchmark: reference input origin and
-    the order-2 quadratic or general recurrence."""
+    the NARMA recurrence of the given order."""
     u = gen_input(InputSignalSpec(length=length, t_start=t_start))
-    spec = NarmaSpec.narma2() if order == 2 else NarmaSpec.general(order)
-    return u, gen_narma(spec, u)
+    return u, gen_narma(NarmaSpec(order), u)
 
 
 def preprocess_diff(raw) -> np.ndarray:
@@ -143,39 +115,29 @@ def preprocess_diff(raw) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LabeledSeriesDataset:
-    """Uniform-length scalar series with integer class labels."""
+    """Uniform-length scalar series, one row of `series` per sample, with
+    integer class labels."""
 
-    samples: tuple  # of (series ndarray, label int) pairs
+    series: np.ndarray  # (samples, timesteps)
+    labels: np.ndarray  # (samples,) in 0..num_classes-1
     num_classes: int
 
     def __post_init__(self):
-        pairs = []
-        length = None
-        for series, label in self.samples:
-            s = np.asarray(series, dtype=np.float64)
-            if length is None:
-                length = s.size
-            elif s.size != length:
-                raise ValueError(
-                    f"series lengths differ: {s.size} vs {length}")
-            label = int(label)
-            if not 0 <= label < self.num_classes:
-                raise ValueError(
-                    f"label {label} out of range for {self.num_classes} classes")
-            pairs.append((s, label))
-        object.__setattr__(self, "samples", tuple(pairs))
+        series = np.asarray(self.series, dtype=np.float64)  # ragged rows raise
+        labels = check_labels(self.labels)
+        if series.ndim != 2 or labels.shape != series.shape[:1]:
+            raise ValueError(f"series of shape {series.shape} vs labels of "
+                             f"shape {labels.shape}")
+        bad = labels[(labels < 0) | (labels >= self.num_classes)]
+        if bad.size:
+            raise ValueError(
+                f"label {bad[0]} out of range for {self.num_classes} classes")
+        object.__setattr__(self, "series", series)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def timesteps(self) -> int:
-        return self.samples[0][0].size if self.samples else 0
-
-    @property
-    def series(self):
-        return [s for s, _ in self.samples]
-
-    @property
-    def labels(self) -> np.ndarray:
-        return np.array([lab for _, lab in self.samples], dtype=int)
+        return self.series.shape[1]
 
 
 def _pulse_params(c: int):
@@ -199,14 +161,15 @@ def gen_synthetic_sensor(num_classes: int = 3, samples_per_class: int = 20,
     additive noise. Purely synthetic stand-in for real sensor recordings."""
     if num_classes < 2:
         raise ValueError(f"need at least 2 classes, got {num_classes}")
-    samples = []
+    series = np.empty((num_classes * samples_per_class, timesteps))
     for c in range(num_classes):
         mean = class_mean_waveform(c, timesteps)
         for s in range(samples_per_class):
             rng = np.random.default_rng([seed, c, s])
             noise = noise_amplitude * rng.standard_normal(timesteps)
-            samples.append((mean + noise, c))
-    return LabeledSeriesDataset(tuple(samples), num_classes)
+            series[c * samples_per_class + s] = mean + noise
+    labels = np.repeat(np.arange(num_classes), samples_per_class)
+    return LabeledSeriesDataset(series, labels, num_classes)
 
 
 def _draw_esn(rng, nodes: int, style: str):

@@ -240,8 +240,7 @@ def _config_input(config: ExperimentConfig, length: int = None) -> np.ndarray:
 def _narma_series(config: ExperimentConfig, order: int):
     """The configured reference input and its NARMA target of the given order."""
     u = _config_input(config)
-    nspec = NarmaSpec.narma2() if order == 2 else NarmaSpec.general(order)
-    return u, gen_narma(nspec, u)
+    return u, gen_narma(NarmaSpec(order), u)
 
 
 def _write_gap_summary(path, report) -> list:

@@ -12,6 +12,9 @@ from .engine import FeatureSeries, check_split
 
 DEFAULT_RCOND = 1e-10
 
+# Class scores within TIE_RTOL * max(1, |best|) of the best score are tied.
+TIE_RTOL = 1e-12
+
 
 def _feature_rows(features) -> np.ndarray:
     if isinstance(features, FeatureSeries):
@@ -91,13 +94,25 @@ def nmse(predictions, targets) -> float:
     return float(np.sum((p - y) ** 2)) / power
 
 
+def check_labels(labels) -> np.ndarray:
+    """Class labels as an int array; ValueError on any non-integer value."""
+    raw = np.asarray(labels)
+    if raw.dtype.kind == "f":
+        whole = np.isfinite(raw) & (raw == np.trunc(raw))
+        if not whole.all():
+            raise ValueError(f"labels must be integers, got {raw[~whole][0]!r}")
+    elif raw.dtype.kind not in "iu":
+        raise ValueError(f"labels must be integers, got dtype {raw.dtype}")
+    return raw.astype(int)
+
+
 def fit_classifier(blocks, labels) -> ReadoutWeights:
     """Concatenate per-sample feature blocks (rows = timesteps), repeat each
     sample's one-hot target at every timestep, and fit `fit_regression`.
     Labels must cover every class 0..labels.max().
     """
     blocks = [_feature_rows(b) for b in blocks]
-    labels = np.asarray(labels, dtype=int)
+    labels = check_labels(labels)
     if len(blocks) != labels.size or not blocks:
         raise ValueError(f"{len(blocks)} blocks vs {labels.size} labels")
     width = blocks[0].shape[1]
@@ -125,7 +140,8 @@ class ClassPrediction:
 def predict_class(weights: ReadoutWeights, block) -> ClassPrediction:
     """Winner-takes-all: argmax of the time-averaged class scores.
 
-    Exact ties resolve to the lowest index and set the tie flag.
+    Scores within TIE_RTOL of the best are tied: the lowest tied index wins,
+    and the tie flag is set when more than one class is tied.
     """
     rows = _feature_rows(block)
     if rows.shape[0] < 1:
@@ -134,9 +150,12 @@ def predict_class(weights: ReadoutWeights, block) -> ClassPrediction:
     if scores.ndim == 1:
         scores = scores[:, None]
     avg = scores.mean(axis=0)
-    best = int(np.argmax(avg))
-    tie = int((avg == avg[best]).sum()) > 1
-    return ClassPrediction(best, tie, tuple(float(v) for v in avg))
+    if not np.isfinite(avg).all():
+        raise ValueError("non-finite class scores")
+    top = avg.max()
+    tied = np.flatnonzero(avg >= top - TIE_RTOL * max(1.0, abs(top)))
+    return ClassPrediction(int(tied[0]), tied.size > 1,
+                           tuple(float(v) for v in avg))
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,7 +176,7 @@ class CvReport:
 def stratified_folds(labels, k: int, seed: int = 0):
     """Deterministic stratified partition: per class, seeded shuffle then
     round-robin deal. Returns a list of k index arrays."""
-    labels = np.asarray(labels, dtype=int)
+    labels = check_labels(labels)
     if k < 2:
         raise ValueError(f"need k >= 2 folds, got {k}")
     rng = np.random.default_rng(seed)
@@ -176,7 +195,7 @@ def k_fold_cv(samples, labels, k: int, seed: int = 0) -> CvReport:
     """Stratified k-fold CV of the winner-takes-all readout: per fold, fit
     `fit_classifier` on the training samples (feature blocks, or raw series
     read as one-feature blocks) and `predict_class` each held-out sample."""
-    labels = np.asarray(labels, dtype=int)
+    labels = check_labels(labels)
     if len(samples) != labels.size:
         raise ValueError(f"{len(samples)} samples vs {labels.size} labels")
     num_classes = int(labels.max()) + 1

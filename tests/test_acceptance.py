@@ -236,7 +236,7 @@ def test_criterion_8_classification_pipeline(capsys):
     # exact mode is a pure function of the input series, and the noise-free
     # samples within one class are identical, so one trajectory per class
     per_class = {}
-    for series, label in dataset.samples:
+    for series, label in zip(dataset.series, dataset.labels):
         if label not in per_class:
             feats = run_reservoir(preprocess_diff(series), cfg)
             per_class[label] = feats.values[40:]  # keep rows t=41..89

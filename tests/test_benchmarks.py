@@ -14,7 +14,7 @@ GOLDEN_RATIO_FIXED_POINT = (3 - np.sqrt(5)) / 4  # root of y = 0.4y + 0.4y^2 + 0
 
 def test_input_signal_reference_points():
     spec = InputSignalSpec()
-    assert input_signal_value(spec, 0) == pytest.approx(0.1)
+    assert input_signal_value(0) == pytest.approx(0.1)
     assert gen_input(spec)[0] == pytest.approx(0.10078393313126387, abs=1e-15)
     u = gen_input(InputSignalSpec(length=500))
     assert u.min() >= 0.0 and u.max() <= 0.2
@@ -28,8 +28,6 @@ def test_input_signal_origin_shift():
 
 
 def test_input_signal_validation():
-    with pytest.raises(ConfigError):
-        InputSignalSpec(period=0.0)
     with pytest.raises(ConfigError):
         InputSignalSpec(length=0)
 
@@ -55,14 +53,11 @@ def test_general_narma_recurrence_recomputed():
     order = 5
     rng = np.random.default_rng(9)
     u = rng.uniform(0.0, 0.2, size=60)
-    spec = NarmaSpec(variant="general", order=order, initial_history=(0.2, 0.1))
-    y = gen_narma(spec, u)
-    assert y[0] == 0.2
+    y = gen_narma(NarmaSpec(order), u)
+    assert y[0] == 0.0
 
-    def yv(t):
-        if t >= 1:
-            return y[t - 1]
-        return 0.1 if t == 0 else 0.0  # history is (y_1, y_0); earlier reads 0
+    def yv(t):  # zero history: y_t = 0 for t < 1
+        return y[t - 1] if t >= 1 else 0.0
 
     for t in range(1, 60):
         lagged_u = u[t - order] if t - order >= 0 else 0.0
@@ -73,13 +68,10 @@ def test_general_narma_recurrence_recomputed():
 
 def test_narma_spec_validation_and_divergence():
     with pytest.raises(ConfigError):
-        NarmaSpec(variant="narma3")
-    with pytest.raises(ConfigError):
-        NarmaSpec(variant="general", order=0)
-    runaway = NarmaSpec(variant="general", order=2, alpha=2.0,
-                        initial_history=(1.0,))
-    with pytest.raises(DivergenceError):
-        gen_narma(runaway, np.zeros(200))
+        NarmaSpec(order=0)
+    # y_2 = 0.6 * 200^3 + 0.1 = 4.8e6 already exceeds the 1e6 limit
+    with pytest.raises(DivergenceError, match="t=2"):
+        gen_narma(NarmaSpec(2), np.full(10, 200.0))
     with pytest.raises(ConfigError):
         gen_narma(NarmaSpec.narma2(), np.zeros((3, 3)))
 
@@ -90,7 +82,7 @@ def test_narma_task_routes_by_order():
     assert np.array_equal(y2, gen_narma(NarmaSpec.narma2(), u2))
     u10, y10 = narma_task(10, length=40)
     assert np.array_equal(u10, u2)  # same drive, different recurrence
-    assert np.array_equal(y10, gen_narma(NarmaSpec.general(10), u10))
+    assert np.array_equal(y10, gen_narma(NarmaSpec(10), u10))
 
 
 def test_preprocess_diff():
@@ -105,19 +97,18 @@ def test_sensor_dataset_shapes_and_determinism():
     ds = gen_synthetic_sensor(num_classes=3, samples_per_class=4, timesteps=50,
                               seed=2)
     assert ds.num_classes == 3
-    assert len(ds.samples) == 12
+    assert ds.series.shape == (12, 50)
     assert ds.timesteps == 50
     assert np.array_equal(ds.labels, np.repeat([0, 1, 2], 4))
     again = gen_synthetic_sensor(num_classes=3, samples_per_class=4,
                                  timesteps=50, seed=2)
-    for (a, _), (b, _) in zip(ds.samples, again.samples):
-        assert np.array_equal(a, b)
+    assert np.array_equal(ds.series, again.series)
 
 
 def test_sensor_noise_free_samples_equal_class_means():
     ds = gen_synthetic_sensor(samples_per_class=2, timesteps=40, seed=0,
                               noise_amplitude=0.0)
-    for series, label in ds.samples:
+    for series, label in zip(ds.series, ds.labels):
         assert np.array_equal(series, class_mean_waveform(label, 40))
 
 
@@ -134,10 +125,18 @@ def test_sensor_class_similarity_structure():
 
 
 def test_labeled_dataset_validation():
-    with pytest.raises(ValueError):
-        LabeledSeriesDataset(((np.zeros(5), 0), (np.zeros(6), 1)), 2)
-    with pytest.raises(ValueError):
-        LabeledSeriesDataset(((np.zeros(5), 2),), 2)
+    ds = LabeledSeriesDataset([np.zeros(5), np.ones(5)], [0, 1], 2)
+    assert ds.series.shape == (2, 5) and ds.labels.tolist() == [0, 1]
+    with pytest.raises(ValueError):  # ragged rows
+        LabeledSeriesDataset([np.zeros(5), np.zeros(6)], [0, 1], 2)
+    with pytest.raises(ValueError):  # one label for two rows
+        LabeledSeriesDataset(np.zeros((2, 5)), [0], 2)
+    with pytest.raises(ValueError, match="out of range"):
+        LabeledSeriesDataset(np.zeros((2, 5)), [0, 2], 2)
+    with pytest.raises(ValueError, match="out of range"):
+        LabeledSeriesDataset(np.zeros((2, 5)), [-1, 1], 2)
+    with pytest.raises(ValueError, match="labels must be integers"):
+        LabeledSeriesDataset(np.zeros((2, 5)), [0, 0.5], 2)
 
 
 def test_esn_step_hand_check():

@@ -142,6 +142,33 @@ def test_predict_class_tie_resolution():
         predict_class(w, np.empty((0, 2)))
 
 
+def test_labels_must_be_integers():
+    # truncating these would silently train on [0, 1, 2, 0, 1, 2]
+    blocks = [np.ones((5, 2))] * 6
+    floats = [0.0, 1.7, 2.2, 0.4, 1.0, 2.9]
+    for call in (lambda: fit_classifier(blocks, floats),
+                 lambda: k_fold_cv(blocks, floats, 2),
+                 lambda: stratified_folds(floats, 2),
+                 lambda: fit_classifier(blocks, [0, 1, 2, 0, 1, np.nan]),
+                 lambda: fit_classifier(blocks, ["0", "1", "2"] * 2)):
+        with pytest.raises(ValueError, match="labels must be integers"):
+            call()
+    whole = fit_classifier(blocks, [0.0, 1.0, 2.0] * 2)
+    assert whole.num_outputs == 3
+
+
+def test_predict_class_near_tie_is_a_tie():
+    # identical blocks give three class scores of 1/3 that differ only in
+    # the last bits; the lowest index wins and the tie is reported
+    labels = np.repeat([0, 1, 2], 5)
+    w = fit_classifier([np.ones((5, 2))] * labels.size, labels)
+    p = predict_class(w, np.ones((5, 2)))
+    assert max(p.scores) - min(p.scores) < 1e-15
+    assert p.class_index == 0 and p.tie
+    with pytest.raises(ValueError, match="non-finite"):
+        predict_class(w, np.full((5, 2), np.nan))
+
+
 def test_predict_class_single_timestep_block():
     w = ReadoutWeights(np.array([[1.0, 0.0], [0.0, 0.0]]))
     assert predict_class(w, np.array([[2.0]])).class_index == 0
@@ -166,16 +193,14 @@ def test_stratified_folds_partition():
 
 
 def test_k_fold_cv_constant_predictor_scores_chance():
-    # identical blocks: each fold's readout gives every held-out sample the
-    # same class (which one depends on last-bit rounding of a near tie), so
-    # each stratified fold scores exactly 1/3 and all true classes share one
-    # row of the confusion matrix
+    # identical blocks: each fold's readout ties every held-out sample across
+    # all classes and resolves it to class 0, so each stratified fold scores
+    # exactly 1/3 and column 0 of the confusion matrix holds every sample
     _, labels = separable_blocks()
     blocks = [np.ones((5, 2))] * labels.size
     report = k_fold_cv(blocks, labels, 6)
     assert np.array_equal(report.fold_accuracies, np.full(6, 1 / 3))
-    assert report.confusion.sum() == len(blocks)
-    assert (report.confusion == report.confusion[0]).all()
+    assert np.array_equal(report.confusion, [[6, 0, 0]] * 3)
     assert len(report.folds) == 6
     assert all(np.array_equal(a, b) for a, b in
                zip(report.folds, stratified_folds(labels, 6, 0)))
