@@ -7,10 +7,9 @@ amplitude and phase damping on every qubit.
 import numpy as np
 
 from qreservoir import (SubsystemLayout, amplitude_damping_channel,
-                        apply_channel, apply_device_noise, apply_unitary,
-                        basis_state, build_layer, depolarizing_channel,
-                        load_noise_profile, phase_damping_channel, plus_state,
-                        zz_crosstalk_gate)
+                        apply_channel, apply_device_noise, basis_state,
+                        build_layer, depolarizing_channel, load_noise_profile,
+                        phase_damping_channel, plus_state, zz_crosstalk_gate)
 
 np.set_printoptions(precision=3, suppress=True)
 
@@ -29,7 +28,7 @@ print(out.matrix.real)
 
 print("\nZZ crosstalk theta=pi/4 on |+>|+>: phases only,")
 print("off-diagonal entries rotate:")
-out = apply_unitary(plus_state(2), zz_crosstalk_gate(np.pi / 4, (0, 1)))
+out = apply_channel(plus_state(2), zz_crosstalk_gate(np.pi / 4, (0, 1)))
 print(np.round(out.matrix, 3))
 
 # a profile is just an INI document (or a file with the same sections)

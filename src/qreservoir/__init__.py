@@ -11,10 +11,9 @@ __version__ = "0.1.0"
 from .errors import (CapacityError, ConfigError, CorruptedStateError,
                      DivergenceError, InvalidChannelError, ProfileError,
                      QReservoirError)
-from .qstate import (MAX_QUBITS, DensityMatrix, KrausChannel, UnitaryGate,
-                     apply_channel, apply_unitary, basis_state,
-                     maximally_mixed, pauli_z_expectations, plus_state,
-                     trace_distance)
+from .qstate import (MAX_QUBITS, DensityMatrix, KrausChannel, apply_channel,
+                     basis_state, maximally_mixed, pauli_z_expectations,
+                     plus_state, trace_distance)
 from .circuit import (CircuitLayer, SubsystemLayout, apply_layer, build_layer,
                       cx_gate, export_qasm, hadamard_gate, rx_gate, rz_gate)
 from .noise import (DeviceNoiseProfile, Topology, amplitude_damping_channel,
@@ -42,9 +41,9 @@ __all__ = [
     "QReservoirError", "CapacityError", "InvalidChannelError",
     "CorruptedStateError", "DivergenceError", "ProfileError", "ConfigError",
     # states and operators
-    "MAX_QUBITS", "DensityMatrix", "UnitaryGate", "KrausChannel",
-    "plus_state", "maximally_mixed", "basis_state", "apply_unitary",
-    "apply_channel", "pauli_z_expectations", "trace_distance",
+    "MAX_QUBITS", "DensityMatrix", "KrausChannel", "plus_state",
+    "maximally_mixed", "basis_state", "apply_channel",
+    "pauli_z_expectations", "trace_distance",
     # circuit ansatz
     "SubsystemLayout", "CircuitLayer", "rx_gate", "rz_gate", "cx_gate",
     "hadamard_gate", "build_layer", "apply_layer", "export_qasm",

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import FeatureSeries, check_split
+from .engine import check_split, feature_rows
 
 VARIANCE_CONVENTIONS = ("population", "sample")
 
@@ -77,12 +77,7 @@ def stationarity_report(series, split, variance: str = "population") -> Stationa
     if variance not in VARIANCE_CONVENTIONS:
         raise ValueError(
             f"variance must be one of {VARIANCE_CONVENTIONS}, got {variance!r}")
-    if isinstance(series, FeatureSeries):
-        values = series.values
-    else:
-        values = np.asarray(series, dtype=np.float64)
-        if values.ndim == 1:
-            values = values[:, None]
+    values = feature_rows(series)
     washout, train, test = check_split(split, values.shape[0])
     if train < 1 or test < 1:
         raise ValueError(f"both windows must be nonempty, got split {split}")

@@ -11,7 +11,7 @@ from math import cos, sin
 
 import numpy as np
 
-from .qstate import DensityMatrix, UnitaryGate, apply_unitary
+from .qstate import DensityMatrix, KrausChannel, apply_channel
 
 _CX_MATRIX = np.array(
     [[1, 0, 0, 0],
@@ -36,22 +36,22 @@ def _rz_matrix(angle: float) -> np.ndarray:
     return np.array([[p, 0], [0, p.conjugate()]])
 
 
-def rx_gate(qubit: int, angle: float) -> UnitaryGate:
+def rx_gate(qubit: int, angle: float) -> KrausChannel:
     """exp(-i * angle * X / 2)."""
-    return UnitaryGate((qubit,), _rx_matrix(angle))
+    return KrausChannel((qubit,), (_rx_matrix(angle),))
 
 
-def rz_gate(qubit: int, angle: float) -> UnitaryGate:
+def rz_gate(qubit: int, angle: float) -> KrausChannel:
     """exp(-i * angle * Z / 2)."""
-    return UnitaryGate((qubit,), _rz_matrix(angle))
+    return KrausChannel((qubit,), (_rz_matrix(angle),))
 
 
-def cx_gate(control: int, target: int) -> UnitaryGate:
-    return UnitaryGate((control, target), _CX_MATRIX)
+def cx_gate(control: int, target: int) -> KrausChannel:
+    return KrausChannel((control, target), (_CX_MATRIX,))
 
 
-def hadamard_gate(qubit: int) -> UnitaryGate:
-    return UnitaryGate((qubit,), _H_MATRIX)
+def hadamard_gate(qubit: int) -> KrausChannel:
+    return KrausChannel((qubit,), (_H_MATRIX,))
 
 
 @dataclass(frozen=True)
@@ -104,8 +104,9 @@ class CircuitLayer:
 
     @cached_property
     def gates(self) -> tuple:
-        """The block on each pair in layout order, as 5m targeted gates."""
-        return tuple(UnitaryGate(tuple(pair[k] for k in pos), m)
+        """The block on each pair in layout order, as 5m one-operator
+        KrausChannels."""
+        return tuple(KrausChannel(tuple(pair[k] for k in pos), (m,))
                      for pair in self.layout.pairs for pos, m in self.block)
 
 
@@ -122,7 +123,7 @@ def apply_layer(state: DensityMatrix, layer: CircuitLayer) -> DensityMatrix:
             f"state has {state.num_qubits} qubits, layer expects "
             f"{layer.layout.num_qubits}")
     for gate in layer.gates:
-        state = apply_unitary(state, gate)
+        state = apply_channel(state, gate)
     return state
 
 

@@ -167,10 +167,10 @@ _CONFIG_KEYS = {*_FIELDS, ("experiment", "task"), ("reservoir", "profile"),
                 *(("esn", key) for key in _RADIUS_KEYS)}
 
 
-def parse_config(source, base_dir: str = None) -> ExperimentConfig:
+def parse_config(source) -> ExperimentConfig:
     """Parse an INI experiment config from a path or document text (see
-    `inifile.read_ini`). A relative profile path resolves against `base_dir`,
-    which defaults to the config file's directory."""
+    `inifile.read_ini`). A relative profile path resolves against the config
+    file's directory."""
     get, file_dir = read_ini(source, _CONFIG_KEYS, ConfigError, "config")
     task = get("experiment", "task", str)
     if task is None:
@@ -182,7 +182,7 @@ def parse_config(source, base_dir: str = None) -> ExperimentConfig:
             kwargs[name] = value
     profile_path = get("reservoir", "profile", str)
     if profile_path:
-        resolved = os.path.join(base_dir or file_dir or ".", profile_path)
+        resolved = os.path.join(file_dir or ".", profile_path)
         kwargs.update(profile_path=profile_path,
                       profile=load_noise_profile(resolved))
     if any(get("esn", key, str) is not None for key in _RADIUS_KEYS):
@@ -190,9 +190,13 @@ def parse_config(source, base_dir: str = None) -> ExperimentConfig:
         lo = get("esn", "radius_min", float, grid[0])
         hi = get("esn", "radius_max", float, grid[-1])
         step = get("esn", "radius_step", float, grid[1] - grid[0])
-        if not 0 < lo <= hi or step <= 0:
+        if not 0 < lo <= hi < np.inf or step <= 0:
             raise ConfigError(f"invalid radius grid [{lo}, {hi}] step {step}")
-        count = int(round((hi - lo) / step)) + 1
+        steps = (hi - lo) / step
+        if abs(steps - round(steps)) > 1e-9:  # the last radius would pass hi
+            raise ConfigError(f"radius grid [{lo}, {hi}] is not a whole number "
+                              f"of steps {step}")
+        count = int(round(steps)) + 1
         kwargs["esn_radii"] = tuple(np.round(lo + step * np.arange(count), 10))
     return ExperimentConfig(task, **kwargs)
 
@@ -436,13 +440,11 @@ def run_experiment(config: ExperimentConfig) -> str:
     return path
 
 
-def export_circuits(config: ExperimentConfig, inputs=None) -> list:
-    """One QASM file per timestep t holding the depth-t circuit prefix, plus a
-    manifest mapping files to timesteps and shot counts."""
+def export_circuits(config: ExperimentConfig, inputs) -> list:
+    """One QASM file per input prefix u_1..u_t holding the depth-t circuit,
+    plus a manifest mapping files to timesteps and shot counts."""
     out = config.output_dir
     os.makedirs(out, exist_ok=True)
-    if inputs is None:
-        inputs = _config_input(config)
     inputs = np.asarray(inputs, dtype=np.float64)
     layout = config.layout()
     shots = config.shots if config.shots != EXACT else 8192

@@ -152,6 +152,17 @@ def run_reservoir(inputs, config: ReservoirConfig, seeds=None):
     return [measure(populations, replace(config, seed=s)) for s in seeds]
 
 
+def feature_rows(features) -> np.ndarray:
+    """The rows of a FeatureSeries, or of any array as float64 with a 1-d
+    sequence as one column."""
+    if isinstance(features, FeatureSeries):
+        return features.values
+    rows = np.asarray(features, dtype=np.float64)
+    if rows.ndim == 1:
+        rows = rows[:, None]
+    return rows
+
+
 def check_split(split, length: int) -> tuple:
     """Return the (washout, train, test) window triple, or raise ConfigError
     if a window is negative or together they need more than `length` rows."""

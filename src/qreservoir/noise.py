@@ -15,8 +15,7 @@ import numpy as np
 from .errors import ProfileError
 from .circuit import CircuitLayer
 from .inifile import parse_pairs, read_ini
-from .qstate import (DensityMatrix, KrausChannel, UnitaryGate,
-                     _apply_superop_tensor)
+from .qstate import DensityMatrix, KrausChannel, _apply_superop_tensor
 
 _I2 = np.eye(2, dtype=np.complex128)
 
@@ -140,13 +139,13 @@ def phase_damping_channel(lam: float, target: int) -> KrausChannel:
     return KrausChannel((target,), ops)
 
 
-def zz_crosstalk_gate(theta: float, edge) -> UnitaryGate:
+def zz_crosstalk_gate(theta: float, edge) -> KrausChannel:
     """exp(-i theta (Z x Z) / 2): diag(e^{-i t/2}, e^{i t/2}, e^{i t/2}, e^{-i t/2})."""
     if not np.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
     lo = np.exp(-1j * theta / 2)
     hi = np.exp(1j * theta / 2)
-    return UnitaryGate(tuple(edge), np.diag([lo, hi, hi, lo]))
+    return KrausChannel(tuple(edge), (np.diag([lo, hi, hi, lo]),))
 
 
 def _on_pair(pos, m) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Dense multi-qubit density-matrix simulation.
 
-Gates and channels act on 1 or 2 targeted qubits by contracting only the
-targeted tensor axes; the full 2^n x 2^n operator is never materialized.
+Gates and noise are Kraus channels (a unitary gate has one operator) on 1 or 2
+targeted qubits, applied by contracting only the targeted tensor axes; the
+full 2^n x 2^n operator is never materialized.
 Qubit 0 is the most significant bit of the computational-basis index.
 """
 from __future__ import annotations
@@ -17,7 +18,6 @@ MAX_QUBITS = 14
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
-UNITARITY_TOL = 1e-12
 COMPLETENESS_TOL = 1e-12
 PSD_TOL = 1e-9
 
@@ -112,37 +112,9 @@ def basis_state(n: int, bits) -> DensityMatrix:
 
 
 @dataclass(frozen=True, eq=False)
-class UnitaryGate:
-    """A 1- or 2-qubit unitary with the register qubits it acts on."""
-
-    targets: tuple
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        targets = tuple(int(t) for t in self.targets)
-        object.__setattr__(self, "targets", targets)
-        k = len(targets)
-        if k not in (1, 2):
-            raise ValueError(f"gates act on 1 or 2 qubits, got targets {targets}")
-        if len(set(targets)) != k or any(t < 0 for t in targets):
-            raise ValueError(f"targets must be distinct non-negative indices, got {targets}")
-        m = _as_complex(self.matrix)
-        object.__setattr__(self, "matrix", m)
-        dk = 1 << k
-        if m.shape != (dk, dk):
-            raise ValueError(f"expected {dk}x{dk} matrix for {k} targets, got {m.shape}")
-        err = np.abs(m.conj().T @ m - np.eye(dk)).max()
-        if err > UNITARITY_TOL:
-            raise ValueError(f"matrix is not unitary: max |U^dag U - I| = {err:.3e}")
-
-    @property
-    def num_targets(self) -> int:
-        return len(self.targets)
-
-
-@dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """A CPTP map given by Kraus operators acting on the targeted qubits."""
+    """A CPTP map given by Kraus operators acting on the targeted qubits; a
+    unitary gate is the one-operator case."""
 
     targets: tuple
     operators: tuple
@@ -190,24 +162,6 @@ def _check_targets(state: DensityMatrix, targets) -> None:
         if t >= state.num_qubits:
             raise IndexError(
                 f"target qubit {t} out of range for {state.num_qubits}-qubit state")
-
-
-def apply_unitary(state: DensityMatrix, gate: UnitaryGate) -> DensityMatrix:
-    """U rho U^dag contracting only the targeted axes."""
-    _check_targets(state, gate.targets)
-    n = state.num_qubits
-    k = gate.num_targets
-    u = gate.matrix.reshape((2,) * (2 * k))
-    t = state.matrix.reshape((2,) * (2 * n))
-    row = list(gate.targets)
-    col = [n + q for q in gate.targets]
-    in_axes = list(range(k, 2 * k))
-    # left multiply: contract U's input axes with the row axes of rho
-    t = np.moveaxis(np.tensordot(u, t, axes=(in_axes, row)), range(k), row)
-    # right multiply by U^dag: (rho U^dag)[.., c] = rho[.., b] conj(U)[c, b]
-    t = np.moveaxis(np.tensordot(u.conj(), t, axes=(in_axes, col)), range(k), col)
-    d = state.dim
-    return DensityMatrix(n, t.reshape(d, d), check=False)
 
 
 def _apply_superop_tensor(state: DensityMatrix, sup: np.ndarray,

@@ -8,21 +8,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import FeatureSeries, check_split
+from .engine import check_split, feature_rows
 
 DEFAULT_RCOND = 1e-10
 
 # Class scores within TIE_RTOL * max(1, |best|) of the best score are tied.
 TIE_RTOL = 1e-12
-
-
-def _feature_rows(features) -> np.ndarray:
-    if isinstance(features, FeatureSeries):
-        return features.values
-    rows = np.asarray(features, dtype=np.float64)
-    if rows.ndim == 1:
-        rows = rows[:, None]
-    return rows
 
 
 def _with_bias(rows: np.ndarray) -> np.ndarray:
@@ -56,7 +47,7 @@ class ReadoutWeights:
 
 def fit_regression(features, targets) -> ReadoutWeights:
     """Minimum-norm least-squares readout (SVD cutoff DEFAULT_RCOND * sigma_max)."""
-    rows = _feature_rows(features)
+    rows = feature_rows(features)
     y = np.asarray(targets, dtype=np.float64)
     if y.shape[0] != rows.shape[0]:
         raise ValueError(
@@ -71,7 +62,7 @@ def fit_regression(features, targets) -> ReadoutWeights:
 
 
 def predict(weights: ReadoutWeights, features) -> np.ndarray:
-    rows = _feature_rows(features)
+    rows = feature_rows(features)
     if rows.shape[1] != weights.feature_width:
         raise ValueError(
             f"features have width {rows.shape[1]}, weights expect "
@@ -111,7 +102,7 @@ def fit_classifier(blocks, labels) -> ReadoutWeights:
     sample's one-hot target at every timestep, and fit `fit_regression`.
     Labels must cover every class 0..labels.max().
     """
-    blocks = [_feature_rows(b) for b in blocks]
+    blocks = [feature_rows(b) for b in blocks]
     labels = check_labels(labels)
     if len(blocks) != labels.size or not blocks:
         raise ValueError(f"{len(blocks)} blocks vs {labels.size} labels")
@@ -143,7 +134,7 @@ def predict_class(weights: ReadoutWeights, block) -> ClassPrediction:
     Scores within TIE_RTOL of the best are tied: the lowest tied index wins,
     and the tie flag is set when more than one class is tied.
     """
-    rows = _feature_rows(block)
+    rows = feature_rows(block)
     if rows.shape[0] < 1:
         raise ValueError("empty block")
     scores = predict(weights, rows)

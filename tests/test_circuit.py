@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from qreservoir import (CircuitLayer, SubsystemLayout, apply_layer, apply_unitary,
+from qreservoir import (CircuitLayer, SubsystemLayout, apply_channel, apply_layer,
                         basis_state, build_layer, cx_gate, export_qasm,
                         hadamard_gate, pauli_z_expectations, plus_state, rx_gate,
                         rz_gate)
@@ -16,19 +16,19 @@ Z = np.array([[1, 0], [0, -1]], dtype=complex)
 def test_rx_matches_matrix_exponential():
     theta = 0.7
     want = np.cos(theta / 2) * np.eye(2) - 1j * np.sin(theta / 2) * X
-    assert np.allclose(rx_gate(0, theta).matrix, want, atol=1e-15)
-    assert np.allclose(rx_gate(0, 0.0).matrix, np.eye(2))
+    assert np.allclose(rx_gate(0, theta).operators[0], want, atol=1e-15)
+    assert np.allclose(rx_gate(0, 0.0).operators[0], np.eye(2))
 
 
 def test_rz_matches_matrix_exponential():
     theta = 1.3
     want = np.cos(theta / 2) * np.eye(2) - 1j * np.sin(theta / 2) * Z
-    assert np.allclose(rz_gate(2, theta).matrix, want, atol=1e-15)
+    assert np.allclose(rz_gate(2, theta).operators[0], want, atol=1e-15)
     assert rz_gate(2, theta).targets == (2,)
 
 
 def test_cx_permutes_target_conditioned_on_control():
-    m = cx_gate(0, 1).matrix
+    m = cx_gate(0, 1).operators[0]
     # |10> -> |11>, |11> -> |10>, control untouched
     assert np.allclose(m @ np.eye(4)[:, 2], np.eye(4)[:, 3])
     assert np.allclose(m @ np.eye(4)[:, 3], np.eye(4)[:, 2])
@@ -37,7 +37,7 @@ def test_cx_permutes_target_conditioned_on_control():
 
 
 def test_hadamard_squares_to_identity():
-    h = hadamard_gate(0).matrix
+    h = hadamard_gate(0).operators[0]
     assert np.allclose(h @ h, np.eye(2), atol=1e-15)
 
 
@@ -66,8 +66,8 @@ def test_build_layer_structure_and_angle():
     for p, (i, j) in enumerate(layout.pairs):
         block = layer.gates[5 * p:5 * p + 5]
         assert [g.targets for g in block] == [(i,), (j,), (i, j), (j,), (i, j)]
-        assert np.allclose(block[0].matrix, rx_gate(i, a * u).matrix)
-        assert np.allclose(block[3].matrix, rz_gate(j, a * u).matrix)
+        assert np.allclose(block[0].operators[0], rx_gate(i, a * u).operators[0])
+        assert np.allclose(block[3].operators[0], rz_gate(j, a * u).operators[0])
 
 
 def test_build_layer_rejects_non_finite():
@@ -83,9 +83,9 @@ def test_apply_layer_matches_dense_block_unitary():
     # and disjoint pairs act as a tensor product of such blocks
     u, a = 0.23, 2.0
     s = a * u
-    cx = cx_gate(0, 1).matrix
-    block = cx @ np.kron(np.eye(2), rz_gate(0, s).matrix) @ cx \
-        @ np.kron(rx_gate(0, s).matrix, rx_gate(0, s).matrix)
+    cx = cx_gate(0, 1).operators[0]
+    block = cx @ np.kron(np.eye(2), rz_gate(0, s).operators[0]) @ cx \
+        @ np.kron(rx_gate(0, s).operators[0], rx_gate(0, s).operators[0])
     full = np.kron(block, block)
     st = plus_state(4)
     got = apply_layer(st, build_layer(u, SubsystemLayout.default(4), a)).matrix
@@ -163,7 +163,7 @@ def test_export_qasm_runs_the_simulated_circuit():
             continue
         name, angle, *qubits = m.groups()
         qubits = [int(q) for q in qubits if q is not None]
-        state = apply_unitary(state, builders[name](qubits, angle))
+        state = apply_channel(state, builders[name](qubits, angle))
         applied += 1
     assert applied == 4 + 5 * layout.num_pairs * len(inputs)
     want = plus_state(4)

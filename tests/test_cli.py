@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qreservoir import (CapacityError, ConfigError, FeatureSeries, ProfileError,
-                        REFERENCE_T_START, engine, load_noise_profile)
+from qreservoir import (CapacityError, ConfigError, FeatureSeries,
+                        InputSignalSpec, ProfileError, REFERENCE_T_START,
+                        engine, gen_input, load_noise_profile)
 from qreservoir.cli import (ExperimentConfig, TASKS, derive_seed,
                             export_circuits, main, parse_config, run_experiment)
 
@@ -25,8 +26,15 @@ lambda = 0.005
 """
 
 
-def write_narma_config(tmp_path, **overrides):
+def write_config(tmp_path, text, name="experiment.ini"):
+    """Write the config document `text` next to the profile noisy.ini."""
     (tmp_path / "noisy.ini").write_text(NOISY_PROFILE)
+    path = tmp_path / name
+    path.write_text(text)
+    return path
+
+
+def write_narma_config(tmp_path, **overrides):
     lines = {
         "task": overrides.get("task", "narma2"),
         "seed": overrides.get("seed", 3),
@@ -39,9 +47,7 @@ def write_narma_config(tmp_path, **overrides):
         + "[split]\nwashout = 4\ntrain = 20\ntest = 6\n"
         + "[input]\nlength = 30\n"
     )
-    path = tmp_path / "experiment.ini"
-    path.write_text(text)
-    return path
+    return write_config(tmp_path, text)
 
 
 # ----------------------------------------------------------------- parsing
@@ -106,10 +112,15 @@ def test_parse_config_radius_grid():
     assert parse_config(text).esn_radii == (0.1, 0.3, 0.5)
     with pytest.raises(ConfigError, match="radius grid"):
         parse_config("[experiment]\ntask = esn-sweep\n[esn]\nradius_min = 0\n")
+    # 0.1 + 4 * 0.25 = 1.1 would overshoot radius_max
+    with pytest.raises(ConfigError, match=r"radius grid \[0.1, 1.0\]"):
+        parse_config("[experiment]\ntask = esn-sweep\n[esn]\nradius_min = 0.1\n"
+                     "radius_max = 1.0\nradius_step = 0.25\n")
+    with pytest.raises(ConfigError, match="radius grid"):
+        parse_config("[experiment]\ntask = esn-sweep\n[esn]\nradius_max = inf\n")
 
 
 def test_parse_config_reads_every_key(tmp_path):
-    (tmp_path / "noisy.ini").write_text(NOISY_PROFILE)
     text = """
 [experiment]
 task = classify  ; inline comments follow a value
@@ -158,7 +169,7 @@ input_weights = 01
         esn_nodes=(3, 7), esn_radii=(0.2, 0.4, 0.6), esn_trials=4,
         esn_input_weights="01")
     assert set(expected) == {f.name for f in fields(ExperimentConfig)}
-    cfg = parse_config(text, base_dir=str(tmp_path))
+    cfg = parse_config(write_config(tmp_path, text))
     defaults = ExperimentConfig(task="classify")
     for name, value in expected.items():
         assert getattr(cfg, name) == value, name
@@ -284,12 +295,11 @@ def test_run_narma_outputs_and_reproducibility(tmp_path):
 
 
 def test_run_narma_seed_changes_sampled_outputs(tmp_path):
-    (tmp_path / "noisy.ini").write_text(NOISY_PROFILE)
-    base = parse_config(
+    base = parse_config(write_config(
+        tmp_path,
         "[experiment]\ntask = narma2\ntrials = 1\n"
         "[reservoir]\nnum_qubits = 2\nshots = 64\nprofile = noisy.ini\n"
-        "[split]\nwashout = 4\ntrain = 16\ntest = 6\n[input]\nlength = 26\n",
-        base_dir=str(tmp_path))
+        "[split]\nwashout = 4\ntrain = 16\ntest = 6\n[input]\nlength = 26\n"))
     run_experiment(replace(base, seed=0, output_dir=str(tmp_path / "a")))
     run_experiment(replace(base, seed=1, output_dir=str(tmp_path / "b")))
     fa = (tmp_path / "a" / "features_trial00.csv").read_text()
@@ -298,13 +308,12 @@ def test_run_narma_seed_changes_sampled_outputs(tmp_path):
 
 
 def test_run_classify_small(tmp_path):
-    (tmp_path / "noisy.ini").write_text(NOISY_PROFILE)
-    cfg = parse_config(
+    cfg = parse_config(write_config(
+        tmp_path,
         "[experiment]\ntask = classify\nseed = 1\n"
         "[reservoir]\nnum_qubits = 2\nshots = exact\nprofile = noisy.ini\n"
         "[classify]\nclasses = 3\nsamples_per_class = 3\ntimesteps = 30\n"
-        "folds = 3\nwashout = 5\n",
-        base_dir=str(tmp_path))
+        "folds = 3\nwashout = 5\n"))
     cfg = replace(cfg, output_dir=str(tmp_path / "out"))
     run_experiment(cfg)
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
@@ -338,13 +347,13 @@ def test_run_experiment_evolves_each_distinct_input_once(tmp_path,
     assert len(steps) == narma.input_length
 
     steps.clear()
-    (tmp_path / "noisy.ini").write_text(NOISY_PROFILE)
-    classify = parse_config(
+    classify = parse_config(write_config(
+        tmp_path,
         "[experiment]\ntask = classify\n"
         "[reservoir]\nnum_qubits = 2\nshots = 64\nprofile = noisy.ini\n"
         "[classify]\nclasses = 3\nsamples_per_class = 3\ntimesteps = 20\n"
         "folds = 3\nwashout = 5\nnoise_amplitude = 0.0\n",
-        base_dir=str(tmp_path))
+        name="classify.ini"))
     per_run = classify.num_classes * (classify.timesteps - 1)
     run_experiment(replace(classify, output_dir=str(tmp_path / "c1")))
     assert len(steps) == per_run
@@ -398,7 +407,7 @@ def test_export_circuits_files_and_manifest(tmp_path):
         "[reservoir]\nnum_qubits = 2\nshots = exact\n[input]\nlength = 3\n"
         "[split]\nwashout = 0\ntrain = 2\ntest = 1\n")
     cfg = replace(cfg, output_dir=str(tmp_path / "qasm"))
-    files = export_circuits(cfg)
+    files = export_circuits(cfg, gen_input(InputSignalSpec(3, cfg.t_start)))
     assert [os.path.basename(f) for f in files] == [
         "circuit_t001.qasm", "circuit_t002.qasm", "circuit_t003.qasm"]
     # depth-t prefix: 4 header lines + 2 h + 5t gates + 2 measures

@@ -45,6 +45,51 @@ def test_zero_noise_features_vanish_for_any_pairing(order, scale, inputs):
     assert np.abs(run_reservoir(inputs, cfg).values).max() < 1e-12
 
 
+@hst.composite
+def _paired_register(draw, gamma_idle):
+    """A 2-, 4- or 6-qubit register with a random pairing and a random profile
+    whose amplitude damping is drawn from `gamma_idle`; the topology may
+    couple qubits of different pairs."""
+    order = draw(hst.sampled_from([2, 4, 6]).flatmap(
+        lambda n: hst.permutations(range(n))))
+    n = len(order)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    profile = draw(hst.builds(
+        DeviceNoiseProfile, p1=hst.floats(0.0, 1.0), p2=hst.floats(0.0, 1.0),
+        gamma_idle=gamma_idle, lambda_idle=hst.floats(0.0, 1.0),
+        zz_theta=hst.floats(-3.0, 3.0),
+        topology=hst.lists(hst.sampled_from(edges), unique=True).map(
+            lambda e: Topology(n, tuple(e)))))
+    layout = SubsystemLayout(n, tuple(zip(order[0::2], order[1::2])))
+    return layout, profile
+
+
+@settings(derandomize=True, deadline=None, max_examples=30, database=None)
+@given(register=_paired_register(hst.just(0.0)),
+       scale=hst.floats(-10.0, 10.0),
+       inputs=hst.lists(hst.floats(-1.0, 1.0), min_size=1, max_size=6))
+def test_features_vanish_without_amplitude_damping(register, scale, inputs):
+    # the global flip X^n commutes with every pair block, every ZZ term and
+    # the Pauli channels (depolarizing, phase damping), and the start state is
+    # its +1 eigenstate; Z_i anticommutes with it, so only amplitude damping
+    # can make a feature
+    layout, profile = register
+    cfg = ReservoirConfig(layout, scale=scale, profile=profile)
+    assert np.abs(run_reservoir(inputs, cfg).values).max() < 1e-12
+
+
+@settings(derandomize=True, deadline=None, max_examples=30, database=None)
+@given(register=_paired_register(hst.floats(1e-3, 1.0)),
+       scale=hst.floats(-10.0, 10.0), u=hst.floats(-1.0, 1.0))
+def test_amplitude_damping_sets_the_first_features_to_gamma(register, scale, u):
+    # before the first damping every <Z_i> is 0 (see above); damping maps
+    # <Z_i> to (1 - g) <Z_i> + g and phase damping leaves diag(rho) alone
+    layout, profile = register
+    cfg = ReservoirConfig(layout, scale=scale, profile=profile)
+    feats = run_reservoir([u], cfg).values
+    assert np.abs(feats - profile.gamma_idle).max() < 1e-12
+
+
 def test_noise_breaks_the_feature_null_space():
     cfg = ReservoirConfig(SubsystemLayout.default(4), scale=2.0,
                           profile=pair_local_profile())

@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as hst
 from qreservoir import (DensityMatrix, DeviceNoiseProfile, ProfileError,
                         SubsystemLayout, Topology, amplitude_damping_channel,
                         apply_channel, apply_device_noise, apply_layer,
-                        apply_unitary, basis_state, build_layer,
-                        depolarizing_channel, load_noise_profile,
-                        maximally_mixed, phase_damping_channel, plus_state,
-                        preset_profile, zero_noise, zz_crosstalk_gate)
+                        basis_state, build_layer, depolarizing_channel,
+                        load_noise_profile, maximally_mixed,
+                        phase_damping_channel, plus_state, preset_profile,
+                        zero_noise, zz_crosstalk_gate)
 
 PROFILE_DIR = Path(__file__).resolve().parent.parent / "profiles"
 
@@ -31,7 +31,7 @@ def sequential_step(state, profile, layer):
     and phase damping qubit by qubit. Deliberately avoids the library's plan
     caching and superoperator composition."""
     for gate in layer.gates:
-        state = apply_unitary(state, gate)
+        state = apply_channel(state, gate)
         if len(gate.targets) == 1 and profile.p1 > 0:
             state = apply_channel(
                 state, depolarizing_channel(profile.p1, 1, gate.targets))
@@ -40,7 +40,7 @@ def sequential_step(state, profile, layer):
                 state, depolarizing_channel(profile.p2, 2, gate.targets))
     if profile.zz_theta != 0.0:
         for edge in profile.topology.edges:
-            state = apply_unitary(state, zz_crosstalk_gate(profile.zz_theta, edge))
+            state = apply_channel(state, zz_crosstalk_gate(profile.zz_theta, edge))
     for q in range(state.num_qubits):
         if profile.gamma_idle > 0:
             state = apply_channel(
@@ -118,12 +118,13 @@ def test_zz_crosstalk_matches_diagonal_exponential():
     theta = 0.37
     signs = np.diag(np.kron(np.diag([1, -1]), np.diag([1, -1])))
     want = np.diag(np.exp(-0.5j * theta * signs))
-    assert np.abs(zz_crosstalk_gate(theta, (0, 1)).matrix - want).max() < 1e-15
+    (got,) = zz_crosstalk_gate(theta, (0, 1)).operators
+    assert np.abs(got - want).max() < 1e-15
 
 
 def test_zz_crosstalk_only_rotates_phases():
     st = random_density(2, 4)
-    out = apply_unitary(st, zz_crosstalk_gate(0.8, (0, 1)))
+    out = apply_channel(st, zz_crosstalk_gate(0.8, (0, 1)))
     assert np.allclose(np.diag(out.matrix), np.diag(st.matrix))
 
 
@@ -262,6 +263,25 @@ def test_device_step_matches_sequential_reference_on_random_profiles(
     got = apply_device_noise(state, profile, layer)
     want = sequential_step(state, profile, layer)
     assert np.abs(got.matrix - want.matrix).max() < 1e-12
+
+
+@settings(derandomize=True, deadline=None, max_examples=20, database=None)
+@given(order=hst.permutations(range(4)),
+       profile=hst.builds(
+           DeviceNoiseProfile, p1=_PROBABILITY, p2=_PROBABILITY,
+           lambda_idle=_PROBABILITY, zz_theta=hst.floats(-3.0, 3.0),
+           topology=hst.lists(hst.sampled_from(_EDGES), unique=True).map(
+               lambda edges: Topology(4, tuple(edges)))),
+       inputs=hst.lists(hst.floats(-1.0, 1.0), min_size=1, max_size=4))
+def test_sequential_steps_keep_the_global_flip_symmetry_without_damping(
+        order, profile, inputs):
+    # Q = X^4 maps basis index i to 15 - i, so Q rho Q reverses both axes;
+    # without amplitude damping every channel commutes with Q
+    layout = SubsystemLayout(4, (tuple(order[:2]), tuple(order[2:])))
+    state = plus_state(4)
+    for u in inputs:
+        state = sequential_step(state, profile, build_layer(u, layout, 2.0))
+    assert np.abs(state.matrix - state.matrix[::-1, ::-1]).max() < 1e-12
 
 
 @settings(derandomize=True, deadline=None, max_examples=40, database=None)

@@ -3,9 +3,9 @@ import numpy as np
 import pytest
 
 from qreservoir import (CapacityError, DensityMatrix, InvalidChannelError,
-                        KrausChannel, UnitaryGate, apply_channel, apply_unitary,
-                        basis_state, maximally_mixed, pauli_z_expectations,
-                        plus_state, trace_distance)
+                        KrausChannel, apply_channel, basis_state,
+                        maximally_mixed, pauli_z_expectations, plus_state,
+                        trace_distance)
 
 
 def random_density(n, seed):
@@ -98,20 +98,17 @@ def test_validate_catches_negative_eigenvalue():
     plus_state(2).validate()
 
 
-def test_unitary_gate_validation():
-    with pytest.raises(ValueError):
-        UnitaryGate((0,), np.array([[1, 0], [0, 2]]))
-    with pytest.raises(ValueError):
-        UnitaryGate((0, 0), np.eye(4))
-    with pytest.raises(ValueError):
-        UnitaryGate((0, 1, 2), np.eye(8))
-
-
 def test_kraus_channel_validation():
     with pytest.raises(InvalidChannelError):
         KrausChannel((0,), (np.eye(2) * 0.5,))  # completeness broken
     with pytest.raises(InvalidChannelError):
+        KrausChannel((0,), (np.diag([1, 2]),))  # one non-unitary operator
+    with pytest.raises(InvalidChannelError):
         KrausChannel((0,), ())
+    with pytest.raises(ValueError):
+        KrausChannel((0, 0), (np.eye(4),))
+    with pytest.raises(ValueError):
+        KrausChannel((0, 1, 2), (np.eye(8),))
     KrausChannel((0,), (np.eye(2),))
 
 
@@ -120,7 +117,7 @@ def test_apply_unitary_matches_full_matrix_oracle(targets):
     n = 3
     st = random_density(n, seed=7)
     u = random_unitary(len(targets), seed=11)
-    got = apply_unitary(st, UnitaryGate(targets, u)).matrix
+    got = apply_channel(st, KrausChannel(targets, (u,))).matrix
     full = embed(u, targets, n)
     want = full @ st.matrix @ full.conj().T
     assert np.abs(got - want).max() < 1e-12
@@ -147,7 +144,7 @@ def test_apply_channel_matches_kraus_sum_oracle(targets):
 
 def test_apply_unitary_out_of_range_target():
     with pytest.raises(IndexError):
-        apply_unitary(plus_state(2), UnitaryGate((2,), np.eye(2)))
+        apply_channel(plus_state(2), KrausChannel((2,), (np.eye(2),)))
 
 
 def test_pauli_z_expectations_on_basis_states():
