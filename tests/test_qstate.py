@@ -98,17 +98,22 @@ def test_validate_catches_negative_eigenvalue():
     plus_state(2).validate()
 
 
-def test_kraus_channel_validation():
+def test_unitary_gate_validation():
+    """A gate is a one-operator KrausChannel: a non-unitary matrix, a
+    repeated target and three targets are all rejected."""
     with pytest.raises(InvalidChannelError):
-        KrausChannel((0,), (np.eye(2) * 0.5,))  # completeness broken
-    with pytest.raises(InvalidChannelError):
-        KrausChannel((0,), (np.diag([1, 2]),))  # one non-unitary operator
-    with pytest.raises(InvalidChannelError):
-        KrausChannel((0,), ())
+        KrausChannel((0,), (np.diag([1, 2]),))
     with pytest.raises(ValueError):
         KrausChannel((0, 0), (np.eye(4),))
     with pytest.raises(ValueError):
         KrausChannel((0, 1, 2), (np.eye(8),))
+
+
+def test_kraus_channel_validation():
+    with pytest.raises(InvalidChannelError):
+        KrausChannel((0,), (np.eye(2) * 0.5,))  # completeness broken
+    with pytest.raises(InvalidChannelError):
+        KrausChannel((0,), ())
     KrausChannel((0,), (np.eye(2),))
 
 
