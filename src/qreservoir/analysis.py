@@ -79,8 +79,6 @@ def stationarity_report(series, split, variance: str = "population") -> Stationa
             f"variance must be one of {VARIANCE_CONVENTIONS}, got {variance!r}")
     values = feature_rows(series)
     washout, train, test = check_split(split, values.shape[0])
-    if train < 1 or test < 1:
-        raise ValueError(f"both windows must be nonempty, got split {split}")
     ddof = 0 if variance == "population" else 1
     tr = values[washout:washout + train]
     te = values[washout + train:washout + train + test]

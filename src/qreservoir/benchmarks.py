@@ -229,8 +229,11 @@ class EsnSweepReport:
         raise KeyError(f"no sweep result for {nodes} nodes")
 
 
-def check_esn_grid(node_counts, radii, input_weight_style: str) -> None:
-    """Raise ConfigError unless the sweep grid and input-weight style are valid."""
+def check_esn_grid(node_counts, radii, input_weight_style: str,
+                   trials: int) -> None:
+    """Raise ConfigError unless the grid, weight style and trial count are valid."""
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
     if not node_counts or not radii:
         raise ConfigError("node_counts and radii must be non-empty")
     if min(node_counts) < 1:
@@ -258,7 +261,7 @@ def esn_sweep(inputs, targets, split, node_counts=DEFAULT_NODE_COUNTS,
     """
     u = np.asarray(inputs, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
-    check_esn_grid(node_counts, radii, input_weight_style)
+    check_esn_grid(node_counts, radii, input_weight_style, trials)
     m = u.size
     washout, train, test = check_split(split, m)
     tr = slice(washout, washout + train)

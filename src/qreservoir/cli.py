@@ -1,6 +1,6 @@
 """Batch experiment runner: INI experiment configs in, CSV/JSON reports out.
 
-Subcommands: run, sweep-esn, export-qasm, analyze. All randomness derives from
+Subcommands: run, export-qasm, analyze. All randomness derives from
 the single top-level seed, so outputs are byte-identical across runs.
 """
 from __future__ import annotations
@@ -17,20 +17,18 @@ import numpy as np
 from . import __version__
 from .analysis import gap_summary, stationarity_report
 from .benchmarks import (DEFAULT_NODE_COUNTS, DEFAULT_RADIUS_GRID,
-                         EsnSweepReport, InputSignalSpec, NarmaSpec,
-                         REFERENCE_T_START, check_esn_grid, esn_sweep,
-                         gen_input, gen_narma, gen_synthetic_sensor,
-                         preprocess_diff)
+                         REFERENCE_T_START, InputSignalSpec, NarmaSpec,
+                         check_esn_grid, esn_sweep, gen_input, gen_narma,
+                         gen_synthetic_sensor, preprocess_diff)
 from .circuit import SubsystemLayout, export_qasm
-from .engine import EXACT, FeatureSeries, ReservoirConfig, run_reservoir, split_series
+from .engine import (EXACT, FeatureSeries, ReservoirConfig, check_split,
+                     run_reservoir, split_series)
 from .errors import ConfigError, QReservoirError
 from .inifile import parse_pairs, read_ini
 from .noise import DeviceNoiseProfile, load_noise_profile, zero_noise
 from .qstate import check_capacity
 from .readout import (fit_classifier, fit_linear_baseline, fit_regression,
                       k_fold_cv, nmse, predict, predict_class)
-
-TASKS = ("narma2", "narma5", "narma10", "classify", "esn-sweep", "stationarity")
 
 _NARMA_ORDERS = {"narma2": 2, "narma5": 5, "narma10": 10}
 
@@ -80,11 +78,8 @@ class ExperimentConfig:
         if self.task not in TASKS:
             raise ConfigError(
                 f"unknown task {self.task!r}; valid tasks: {', '.join(TASKS)}")
-        for name, low in (("trials", 1), ("num_qubits", 1), ("input_length", 1),
-                          ("folds", 1), ("esn_trials", 1), ("washout", 0),
-                          ("train", 0), ("test", 0), ("lr_feature_lag", 0),
-                          ("class_washout", 0), ("num_classes", 2),
-                          ("esn_narma_order", 1)):
+        for name, low in (("trials", 1), ("lr_feature_lag", 0), ("class_washout", 0),
+                          ("num_classes", 2), ("esn_narma_order", 1)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.scale is None:
@@ -105,12 +100,13 @@ class ExperimentConfig:
             raise ConfigError(
                 f"classify washout {self.class_washout} leaves no rows of the "
                 f"{self.timesteps - 1} differenced timesteps")
-        windows = self.washout + self.train + self.test
-        if self.task != "classify" and windows > self.input_length:
+        if not np.isfinite(self.noise_amplitude):
             raise ConfigError(
-                f"washout + train + test = {windows} exceeds input length "
-                f"{self.input_length}")
-        check_esn_grid(self.esn_nodes, self.esn_radii, self.esn_input_weights)
+                f"noise_amplitude must be finite, got {self.noise_amplitude}")
+        if self.task != "classify":  # every other task reads [split]
+            check_split((self.washout, self.train, self.test), self.input_length)
+        check_esn_grid(self.esn_nodes, self.esn_radii, self.esn_input_weights,
+                       self.esn_trials)
 
     def layout(self) -> SubsystemLayout:
         if self.pairs:
@@ -257,14 +253,23 @@ def _write_gap_summary(path, report) -> list:
     return gaps
 
 
+def _write_stationarity(out: str, feats, y, split):
+    """Write both stationarity tables; returns the features' report."""
+    rep = stationarity_report(feats, split)
+    rep.to_csv(os.path.join(out, "stationarity_features.csv"))
+    stationarity_report(y, split).to_csv(
+        os.path.join(out, "stationarity_targets.csv"))
+    return rep
+
+
 def _run_narma(config: ExperimentConfig, out: str) -> dict:
     u, y = _narma_series(config, _NARMA_ORDERS[config.task])
     split = (config.washout, config.train, config.test)
     lr = fit_linear_baseline(u, y, split, feature_lag=config.lr_feature_lag)
 
     w0, w1 = config.washout, config.washout + config.train
-    t_idx = np.concatenate([np.arange(w0 + 1, w1 + 1),
-                            np.arange(w1 + 1, w1 + config.test + 1)])
+    w2 = w1 + config.test
+    t_idx = np.arange(w0 + 1, w2 + 1)
     test_nmses, train_nmses = [], []
     # one evolution serves every trial: the seed only enters shot sampling
     seeds = [derive_seed(config.seed, trial) for trial in range(config.trials)]
@@ -275,23 +280,14 @@ def _run_narma(config: ExperimentConfig, out: str) -> dict:
         pred_tr = predict(weights, ftr)
         pred_te = predict(weights, fte)
         feats.to_csv(os.path.join(out, f"features_trial{trial:02d}.csv"))
-        if trial == 0:
-            stationarity_report(feats, split).to_csv(
-                os.path.join(out, "stationarity_features.csv"))
-        rows = np.column_stack([
-            t_idx,
-            np.concatenate([y[w0:w1], y[w1:w1 + config.test]]),
-            np.concatenate([pred_tr, pred_te]),
-            np.concatenate([np.zeros(config.train), np.ones(config.test)]),
-        ])
+        rows = np.column_stack([t_idx, y[w0:w2], np.concatenate([pred_tr, pred_te]),
+                                t_idx > w1])
         np.savetxt(os.path.join(out, f"predictions_trial{trial:02d}.csv"), rows,
                    delimiter=",", header="t,target,prediction,is_test",
                    comments="", fmt=["%d", "%.17g", "%.17g", "%d"])
         train_nmses.append(nmse(pred_tr, y[w0:w1]))
-        test_nmses.append(nmse(pred_te, y[w1:w1 + config.test]))
-
-    stationarity_report(y, split).to_csv(
-        os.path.join(out, "stationarity_targets.csv"))
+        test_nmses.append(nmse(pred_te, y[w1:w2]))
+    _write_stationarity(out, trial_feats[0], y, split)
 
     test_arr = np.array(test_nmses)
     return {
@@ -368,7 +364,14 @@ def _run_classify(config: ExperimentConfig, out: str) -> dict:
     }
 
 
-def _sweep_to_files(report: EsnSweepReport, out: str) -> dict:
+def _run_esn_sweep(config: ExperimentConfig, out: str) -> dict:
+    order = config.esn_narma_order
+    u, y = _narma_series(config, order)
+    report = esn_sweep(u, y, (config.washout, config.train, config.test),
+                       node_counts=config.esn_nodes, radii=config.esn_radii,
+                       trials=config.esn_trials,
+                       input_weight_style=config.esn_input_weights,
+                       seed=config.seed)
     rows = []
     for res in report.results:
         for ri, radius in enumerate(report.radii):
@@ -377,6 +380,7 @@ def _sweep_to_files(report: EsnSweepReport, out: str) -> dict:
                header="nodes,radius,mean_nmse", comments="",
                fmt=["%d", "%.2f", "%.17g"])
     return {
+        "task": "esn-sweep", "narma_order": order,
         "per_node": {
             str(res.nodes): {
                 "global_average": res.global_average,
@@ -389,18 +393,6 @@ def _sweep_to_files(report: EsnSweepReport, out: str) -> dict:
     }
 
 
-def _run_esn_sweep(config: ExperimentConfig, out: str) -> dict:
-    order = config.esn_narma_order
-    u, y = _narma_series(config, order)
-    report = esn_sweep(u, y, (config.washout, config.train, config.test),
-                       node_counts=config.esn_nodes, radii=config.esn_radii,
-                       trials=config.esn_trials,
-                       input_weight_style=config.esn_input_weights,
-                       seed=config.seed)
-    return {"task": "esn-sweep", "narma_order": order,
-            **_sweep_to_files(report, out)}
-
-
 def _run_stationarity(config: ExperimentConfig, out: str) -> dict:
     # drives the reservoir with the reference input and its second-order series
     u, y = _narma_series(config, 2)
@@ -408,9 +400,7 @@ def _run_stationarity(config: ExperimentConfig, out: str) -> dict:
     feats = run_reservoir(u, rc)
     split = (config.washout, config.train, config.test)
     feats.to_csv(os.path.join(out, "features.csv"))
-    rep = stationarity_report(feats, split)
-    rep.to_csv(os.path.join(out, "stationarity_features.csv"))
-    stationarity_report(y, split).to_csv(os.path.join(out, "stationarity_targets.csv"))
+    rep = _write_stationarity(out, feats, y, split)
     gaps = _write_gap_summary(os.path.join(out, "gap_summary.csv"), rep)
     with open(os.path.join(out, "stationarity.txt"), "w", encoding="utf-8") as fh:
         fh.write(rep.to_text())
@@ -421,18 +411,17 @@ def _run_stationarity(config: ExperimentConfig, out: str) -> dict:
     }
 
 
+_RUNNERS = {**dict.fromkeys(_NARMA_ORDERS, _run_narma),
+            "classify": _run_classify, "esn-sweep": _run_esn_sweep,
+            "stationarity": _run_stationarity}
+TASKS = tuple(_RUNNERS)
+
+
 def run_experiment(config: ExperimentConfig) -> str:
     """Execute the configured task; returns the path of the summary JSON."""
     out = config.output_dir
     os.makedirs(out, exist_ok=True)
-    if config.task in _NARMA_ORDERS:
-        summary = _run_narma(config, out)
-    elif config.task == "classify":
-        summary = _run_classify(config, out)
-    elif config.task == "esn-sweep":
-        summary = _run_esn_sweep(config, out)
-    else:
-        summary = _run_stationarity(config, out)
+    summary = _RUNNERS[config.task](config, out)
     summary["seed"] = config.seed
     _write_json(os.path.join(out, "manifest.json"), _manifest(config))
     path = os.path.join(out, "summary.json")
@@ -482,9 +471,6 @@ def main(argv=None) -> int:
     p_run = subs.add_parser("run", help="run a configured experiment")
     _add_common(p_run)
 
-    p_sweep = subs.add_parser("sweep-esn", help="run the ESN spectral-radius sweep")
-    _add_common(p_sweep)
-
     p_qasm = subs.add_parser("export-qasm", help="emit per-timestep QASM circuits")
     _add_common(p_qasm)
     p_qasm.add_argument("--timesteps", type=int, default=None,
@@ -502,11 +488,8 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if args.command in ("run", "sweep-esn"):
-            config = _load_config_from_args(args)
-            if args.command == "sweep-esn":
-                config = replace(config, task="esn-sweep")
-            print(run_experiment(config))
+        if args.command == "run":
+            print(run_experiment(_load_config_from_args(args)))
         elif args.command == "export-qasm":
             config = _load_config_from_args(args)
             for path in export_circuits(

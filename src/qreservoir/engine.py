@@ -164,12 +164,13 @@ def feature_rows(features) -> np.ndarray:
 
 
 def check_split(split, length: int) -> tuple:
-    """Return the (washout, train, test) window triple, or raise ConfigError
-    if a window is negative or together they need more than `length` rows."""
+    """The (washout, train, test) triple; ConfigError unless washout >= 0,
+    train >= 1, test >= 1 and together they fit in `length` rows."""
     washout, train, test = split
-    for name, v in (("washout", washout), ("train", train), ("test", test)):
-        if v < 0:
-            raise ConfigError(f"{name} must be >= 0, got {v}")
+    for name, v, low in (("washout", washout, 0), ("train", train, 1),
+                         ("test", test, 1)):
+        if v < low:
+            raise ConfigError(f"{name} must be >= {low}, got {v}")
     total = washout + train + test
     if total > length:
         raise ConfigError(f"windows need {total} rows, series has {length}")

@@ -56,7 +56,7 @@ def test_report_accepts_feature_series():
 
 def test_report_validation():
     series = np.arange(6.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         stationarity_report(series, (0, 0, 3))
     with pytest.raises(ConfigError):
         stationarity_report(series, (2, 3, 3))

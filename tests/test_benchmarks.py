@@ -216,3 +216,5 @@ def test_esn_sweep_validation():
     with pytest.raises(ConfigError, match="'binary'"):
         esn_sweep(u, y, (5, 20, 5), node_counts=(2,), radii=(0.5,),
                   input_weight_style="binary")
+    with pytest.raises(ConfigError, match="trials"):
+        esn_sweep(u, y, (5, 20, 5), node_counts=(2,), radii=(0.5,), trials=0)

@@ -217,6 +217,11 @@ def test_experiment_config_direct_validation():
     ("narma2", "num_qubits = 2\nscale = inf", ConfigError),
     ("narma2", "num_qubits = 2\nscale = nan", ConfigError),
     ("esn-sweep", "[esn]\nnarma_order = 0", ConfigError),
+    ("classify", "num_qubits = 2\n[classify]\nnoise_amplitude = nan", ConfigError),
+    ("classify", "num_qubits = 2\n[classify]\nnoise_amplitude = inf", ConfigError),
+    ("esn-sweep", "[split]\ntest = 0", ConfigError),
+    ("narma2", "num_qubits = 2\n[split]\ntest = 0", ConfigError),
+    ("stationarity", "num_qubits = 2\n[split]\ntrain = 0", ConfigError),
 ], ids=["odd-register", "over-capacity", "profile-size", "profile-edge",
         "folds-over-samples", "classify-washout-over-timesteps",
         "narma-windows-over-length", "stationarity-windows-over-length",
@@ -224,7 +229,9 @@ def test_experiment_config_direct_validation():
         "esn-zero-nodes", "split-negative-washout", "split-negative-train",
         "classify-negative-washout", "narma-negative-feature-lag",
         "classify-one-class", "reservoir-scale-inf", "reservoir-scale-nan",
-        "esn-narma-order-0"])
+        "esn-narma-order-0", "classify-noise-amplitude-nan",
+        "classify-noise-amplitude-inf", "esn-empty-test", "narma-empty-test",
+        "stationarity-empty-train"])
 def test_bad_experiment_fails_before_any_output(tmp_path, capsys, task,
                                                 sections, error):
     (tmp_path / "sized8.ini").write_text("[topology]\nnum_qubits = 8\n")
@@ -494,19 +501,19 @@ def test_main_seed_override_changes_manifest(tmp_path, capsys):
     assert manifest["config"]["seed"] == 9
 
 
-def test_main_sweep_esn_coerces_task(tmp_path, capsys):
-    path = tmp_path / "cfg.ini"
-    path.write_text(
-        "[experiment]\ntask = narma2\n"
-        "[split]\nwashout = 4\ntrain = 20\ntest = 6\n[input]\nlength = 30\n"
-        "[esn]\nnodes = 2\nradius_min = 0.5\nradius_max = 0.5\n"
-        "radius_step = 0.1\ntrials = 2\n")
-    out = tmp_path / "sweep_out"
-    assert main(["sweep-esn", "--config", str(path),
-                 "--output-dir", str(out)]) == 0
-    capsys.readouterr()
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["task"] == "esn-sweep"
+def test_readme_command_line_names_exactly_the_subcommands(capsys):
+    # a subcommand removed from the parser cannot linger in the docs, and a
+    # new one cannot go undocumented
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```bash", 1)[1]
+    block = block.split("```", 1)[0]
+    documented = {line.split()[1] for line in block.splitlines()
+                  if line.startswith("qreservoir ")}
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    usage = capsys.readouterr().out
+    accepted = set(re.search(r"\{([^}]*)\}", usage).group(1).split(","))
+    assert documented == accepted
 
 
 def test_main_export_qasm_timesteps_flag(tmp_path, capsys):

@@ -293,14 +293,15 @@ _SPLIT_CALLS = {
 
 
 @pytest.mark.parametrize("split", [(-5, 20, 10), (5, -2, 10), (5, 20, -1),
-                                   (5, 20, 6)],
+                                   (5, 20, 6), (5, 0, 10), (5, 20, 0)],
                          ids=["negative-washout", "negative-train",
-                              "negative-test", "over-length"])
+                              "negative-test", "over-length", "empty-train",
+                              "empty-test"])
 @pytest.mark.parametrize("entry", [*_SPLIT_CALLS, "analyze-cli"])
 def test_every_split_entry_point_rejects_bad_windows(tmp_path, capsys, entry,
                                                      split):
     # one engine check guards every (washout, train, test) consumer, so no
-    # negative window wraps around or leaves an empty training slice
+    # negative window wraps around and no train or test window is empty
     rng = np.random.default_rng(3)
     u = rng.uniform(0.0, 0.2, size=30)
     y = np.sin(np.arange(30.0)) + 2.0
