@@ -10,7 +10,7 @@ import numpy as np
 
 from .engine import check_split
 from .errors import ConfigError, DivergenceError
-from .readout import check_labels
+from .readout import DEFAULT_RCOND, check_labels
 
 DIVERGENCE_LIMIT = 1e6
 
@@ -201,8 +201,19 @@ def run_esn(inputs, w, w_in) -> np.ndarray:
     return out
 
 
+def radius_grid(lo: float, hi: float, step: float) -> tuple:
+    """Radii lo, lo + step, ..., hi; ConfigError unless 0 < lo <= hi and 0 < step
+    are finite and hi - lo is a whole number of steps."""
+    if not 0 < lo <= hi < np.inf or not 0 < step < np.inf:
+        raise ConfigError(f"invalid radius grid [{lo}, {hi}] step {step}")
+    steps = (hi - lo) / step
+    if abs(steps - round(steps)) > 1e-9:
+        raise ConfigError(f"radius grid [{lo}, {hi}] is not a whole number of steps {step}")
+    return tuple(np.round(lo + step * np.arange(int(round(steps)) + 1), 10))
+
+
 DEFAULT_NODE_COUNTS = (2, 5, 10, 20, 50)
-DEFAULT_RADIUS_GRID = tuple(np.round(np.arange(1, 101) * 0.01, 2))
+DEFAULT_RADIUS_GRID = radius_grid(0.01, 1.0, 0.01)
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,8 +249,8 @@ def check_esn_grid(node_counts, radii, input_weight_style: str,
         raise ConfigError("node_counts and radii must be non-empty")
     if min(node_counts) < 1:
         raise ConfigError(f"node counts must be >= 1, got {tuple(node_counts)}")
-    if not min(radii) > 0:
-        raise ConfigError(f"spectral radii must be > 0, got {tuple(radii)}")
+    if not all(0 < r < np.inf for r in radii):
+        raise ConfigError(f"spectral radii must be finite and > 0, got {tuple(radii)}")
     if input_weight_style not in ("pm1", "01"):
         raise ConfigError(
             f"input_weight_style must be 'pm1' or '01', got "
@@ -283,7 +294,7 @@ def esn_sweep(inputs, targets, split, node_counts=DEFAULT_NODE_COUNTS,
                 x = np.tanh(np.einsum("bji,bj->bi", w_r, x) + wins * u[t])
                 feats[:, t, :] = x
             aug = np.concatenate([feats, np.ones((trials, m, 1))], axis=2)
-            w_out = np.linalg.pinv(aug[:, tr, :], rcond=1e-10) @ y[tr]
+            w_out = np.linalg.pinv(aug[:, tr, :], rcond=DEFAULT_RCOND) @ y[tr]
             pred = np.einsum("btk,bk->bt", aug[:, te, :], w_out)
             nmse_grid[ri] = ((pred - y[te]) ** 2).sum(axis=1) / (y[te] ** 2).sum()
         per_radius = nmse_grid.mean(axis=1)

@@ -5,6 +5,7 @@ Per pair (i, j) one layer applies the gates of `PAIR_BLOCK` in order:
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from math import cos, sin
@@ -62,7 +63,8 @@ class SubsystemLayout:
     pairs: tuple
 
     def __post_init__(self):
-        pairs = tuple((int(i), int(j)) for i, j in self.pairs)
+        pairs = tuple((operator.index(i), operator.index(j))
+                      for i, j in self.pairs)
         object.__setattr__(self, "pairs", pairs)
         n = self.num_qubits
         if n < 2 or n % 2 != 0:

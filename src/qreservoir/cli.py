@@ -19,7 +19,7 @@ from .analysis import gap_summary, stationarity_report
 from .benchmarks import (DEFAULT_NODE_COUNTS, DEFAULT_RADIUS_GRID,
                          REFERENCE_T_START, InputSignalSpec, NarmaSpec,
                          check_esn_grid, esn_sweep, gen_input, gen_narma,
-                         gen_synthetic_sensor, preprocess_diff)
+                         gen_synthetic_sensor, preprocess_diff, radius_grid)
 from .circuit import SubsystemLayout, export_qasm
 from .engine import (EXACT, FeatureSeries, ReservoirConfig, check_split,
                      run_reservoir, split_series)
@@ -119,12 +119,7 @@ class ExperimentConfig:
 
 
 def _cast_shots(raw: str):
-    if raw == EXACT:
-        return EXACT
-    shots = int(raw)
-    if shots < 1:
-        raise ValueError(raw)
-    return shots
+    return raw if raw == EXACT else int(raw)
 
 
 def _int_tuple(raw: str) -> tuple:
@@ -183,17 +178,10 @@ def parse_config(source) -> ExperimentConfig:
                       profile=load_noise_profile(resolved))
     if any(get("esn", key, str) is not None for key in _RADIUS_KEYS):
         grid = DEFAULT_RADIUS_GRID  # an absent radius_* key keeps its bound or step
-        lo = get("esn", "radius_min", float, grid[0])
-        hi = get("esn", "radius_max", float, grid[-1])
-        step = get("esn", "radius_step", float, grid[1] - grid[0])
-        if not 0 < lo <= hi < np.inf or step <= 0:
-            raise ConfigError(f"invalid radius grid [{lo}, {hi}] step {step}")
-        steps = (hi - lo) / step
-        if abs(steps - round(steps)) > 1e-9:  # the last radius would pass hi
-            raise ConfigError(f"radius grid [{lo}, {hi}] is not a whole number "
-                              f"of steps {step}")
-        count = int(round(steps)) + 1
-        kwargs["esn_radii"] = tuple(np.round(lo + step * np.arange(count), 10))
+        kwargs["esn_radii"] = radius_grid(
+            get("esn", "radius_min", float, grid[0]),
+            get("esn", "radius_max", float, grid[-1]),
+            get("esn", "radius_step", float, grid[1] - grid[0]))
     return ExperimentConfig(task, **kwargs)
 
 
@@ -436,7 +424,7 @@ def export_circuits(config: ExperimentConfig, inputs) -> list:
     os.makedirs(out, exist_ok=True)
     inputs = np.asarray(inputs, dtype=np.float64)
     layout = config.layout()
-    shots = config.shots if config.shots != EXACT else 8192
+    shots = config.shots if config.shots != EXACT else ExperimentConfig.shots
     files, entries = [], []
     for t in range(1, inputs.size + 1):
         name = f"circuit_t{t:03d}.qasm"

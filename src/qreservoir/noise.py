@@ -6,6 +6,7 @@ stand-in for an otherwise uncharacterized device map.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import islice, product
@@ -29,7 +30,8 @@ _PAULI = {
 
 @dataclass(frozen=True)
 class Topology:
-    """Undirected coupling graph; num_qubits == 0 means 'unspecified, no edges'."""
+    """Undirected coupling graph. num_qubits == 0 leaves the size unspecified;
+    the edges are then checked against the register (see check_register)."""
 
     num_qubits: int
     edges: tuple
@@ -40,7 +42,7 @@ class Topology:
             raise ProfileError(f"topology num_qubits must be >= 0, got {n}")
         norm = []
         for e in self.edges:
-            i, j = int(e[0]), int(e[1])
+            i, j = operator.index(e[0]), operator.index(e[1])
             if i == j:
                 raise ProfileError(f"topology self-edge {i}-{j} is not allowed")
             if i < 0 or j < 0 or (n > 0 and (i >= n or j >= n)):
@@ -208,9 +210,9 @@ def _pair_block_superop(block, gate_noise) -> np.ndarray:
 
 def apply_device_noise(state: DensityMatrix, profile: DeviceNoiseProfile,
                        layer: CircuitLayer) -> DensityMatrix:
-    """One full noisy timestep: the layer's pair blocks with gate noise folded
-    in, then per-layer crosstalk, then per-qubit damping.
-    """
+    """One full noisy timestep on the matrix: the layer's pair blocks with gate
+    noise folded in, then per-layer crosstalk, then per-qubit damping. The
+    result is validated once, as it is wrapped in a DensityMatrix."""
     n = state.num_qubits
     profile.topology.check_register(n)
     if layer.layout.num_qubits != n:
@@ -218,16 +220,16 @@ def apply_device_noise(state: DensityMatrix, profile: DeviceNoiseProfile,
             f"layer is for {layer.layout.num_qubits} qubits, state has {n}")
     zz_phases, gate_noise, idle = _noise_plan(profile, n)
     block = _pair_block_superop(layer.block, gate_noise)
+    m = state.matrix
     for pair in layer.layout.pairs:
-        state = _apply_superop_tensor(state, block, pair)
+        m = _apply_superop_tensor(m, block, pair)
     if zz_phases is not None:
-        m = state.matrix * zz_phases[:, None]
+        m = m * zz_phases[:, None]
         m = m * zz_phases.conj()[None, :]
-        state = DensityMatrix(n, m, check=False)
     if idle is not None:
         for q in range(n):
-            state = _apply_superop_tensor(state, idle, (q,))
-    return state
+            m = _apply_superop_tensor(m, idle, (q,))
+    return DensityMatrix(n, m)
 
 
 _PROFILE_KEYS = {

@@ -7,7 +7,8 @@ Qubit 0 is the most significant bit of the computational-basis index.
 """
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+import operator
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -41,13 +42,8 @@ class DensityMatrix:
 
     num_qubits: int
     matrix: np.ndarray
-    check: InitVar[bool] = True
 
-    def __post_init__(self, check):
-        if not check:
-            # trusted path for operator outputs; skips validation on the
-            # per-gate hot loop
-            return
+    def __post_init__(self):
         n = self.num_qubits
         check_capacity(n)
         m = _as_complex(self.matrix)
@@ -120,7 +116,7 @@ class KrausChannel:
     operators: tuple
 
     def __post_init__(self):
-        targets = tuple(int(t) for t in self.targets)
+        targets = tuple(operator.index(t) for t in self.targets)
         object.__setattr__(self, "targets", targets)
         k = len(targets)
         if k not in (1, 2):
@@ -164,26 +160,26 @@ def _check_targets(state: DensityMatrix, targets) -> None:
                 f"target qubit {t} out of range for {state.num_qubits}-qubit state")
 
 
-def _apply_superop_tensor(state: DensityMatrix, sup: np.ndarray,
-                          targets) -> DensityMatrix:
-    """Contract a (2,)*4k superoperator tensor with the targeted row/col axes."""
-    n = state.num_qubits
+def _apply_superop_tensor(m: np.ndarray, sup: np.ndarray, targets) -> np.ndarray:
+    """Contract a (2,)*4k superoperator tensor with the targeted row/col axes
+    of a 2^n x 2^n matrix; returns the new matrix."""
+    d = m.shape[0]
+    n = d.bit_length() - 1
     k = len(targets)
-    t = state.matrix.reshape((2,) * (2 * n))
+    t = m.reshape((2,) * (2 * n))
     row = list(targets)
     col = [n + q for q in targets]
     t = np.tensordot(sup, t, axes=(list(range(2 * k, 4 * k)), row + col))
     t = np.moveaxis(t, range(2 * k), row + col)
-    d = state.dim
     m = t.reshape(d, d)
-    m = (m + m.conj().T) / 2  # suppress drift over long trajectories
-    return DensityMatrix(n, m, check=False)
+    return (m + m.conj().T) / 2  # suppress drift over long trajectories
 
 
 def apply_channel(state: DensityMatrix, channel: KrausChannel) -> DensityMatrix:
     """sum_m K_m rho K_m^dag via the channel's cached superoperator tensor."""
     _check_targets(state, channel.targets)
-    return _apply_superop_tensor(state, channel._superop, channel.targets)
+    return DensityMatrix(state.num_qubits, _apply_superop_tensor(
+        state.matrix, channel._superop, channel.targets))
 
 
 def population_qubits(probs: np.ndarray) -> int:

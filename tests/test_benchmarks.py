@@ -2,12 +2,13 @@
 import numpy as np
 import pytest
 
-from qreservoir import (REFERENCE_T_START, ConfigError, DivergenceError,
-                        InputSignalSpec, LabeledSeriesDataset, NarmaSpec,
-                        class_mean_waveform, esn_step, esn_sweep,
+from qreservoir import (DEFAULT_RADIUS_GRID, REFERENCE_T_START, ConfigError,
+                        DivergenceError, InputSignalSpec, LabeledSeriesDataset,
+                        NarmaSpec, class_mean_waveform, esn_step, esn_sweep,
                         fit_regression, gen_input, gen_narma,
                         gen_synthetic_sensor, input_signal_value, narma_task,
                         nmse, predict, preprocess_diff, run_esn)
+from qreservoir.benchmarks import radius_grid
 
 GOLDEN_RATIO_FIXED_POINT = (3 - np.sqrt(5)) / 4  # root of y = 0.4y + 0.4y^2 + 0.1
 
@@ -213,8 +214,23 @@ def test_esn_sweep_validation():
         esn_sweep(u, y, (5, 20, 5), node_counts=(0, 2), radii=(0.5,))
     with pytest.raises(ConfigError, match="radii"):
         esn_sweep(u, y, (5, 20, 5), node_counts=(2,), radii=(0.5, 0.0))
+    with pytest.raises(ConfigError, match="radii"):
+        esn_sweep(u, y, (5, 20, 5), node_counts=(2,), radii=(0.5, np.nan))
+    with pytest.raises(ConfigError, match="radii"):
+        esn_sweep(u, y, (5, 20, 5), node_counts=(2,), radii=(0.5, np.inf))
     with pytest.raises(ConfigError, match="'binary'"):
         esn_sweep(u, y, (5, 20, 5), node_counts=(2,), radii=(0.5,),
                   input_weight_style="binary")
     with pytest.raises(ConfigError, match="trials"):
         esn_sweep(u, y, (5, 20, 5), node_counts=(2,), radii=(0.5,), trials=0)
+
+
+def test_radius_grid_pins_the_default_and_rejects_bad_grids():
+    want = np.round(np.arange(1, 101) * 0.01, 2)
+    assert np.array(DEFAULT_RADIUS_GRID).tobytes() == want.tobytes()
+    assert radius_grid(0.2, 0.6, 0.2) == (0.2, 0.4, 0.6)
+    for lo, hi, step in ((0.0, 1.0, 0.1), (0.5, 0.4, 0.1), (0.1, np.inf, 0.1),
+                         (0.1, 1.0, 0.0), (0.1, 1.0, np.nan), (0.1, 0.1, np.inf),
+                         (0.1, 1.0, 0.25)):
+        with pytest.raises(ConfigError, match="radius grid"):
+            radius_grid(lo, hi, step)

@@ -57,6 +57,13 @@ def test_layout_validation():
     SubsystemLayout(4, ((2, 0), (1, 3)))  # non-adjacent cover is fine
 
 
+def test_layout_rejects_non_integer_qubits():
+    with pytest.raises(TypeError):
+        SubsystemLayout(2, ((0.2, 1.9),))  # int() would give pair (0, 1)
+    pairs = ((np.int64(0), np.int32(1)),)
+    assert SubsystemLayout(2, pairs).pairs == ((0, 1),)
+
+
 def test_build_layer_structure_and_angle():
     layout = SubsystemLayout.default(4)
     u, a = 0.17, 2.0

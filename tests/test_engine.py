@@ -218,12 +218,10 @@ def test_sample_bitstrings_estimates_are_unbiased():
 
 def test_sample_bitstrings_rejects_corrupted_diagonals():
     rng = np.random.default_rng(0)
-    bad = DensityMatrix(1, np.diag([1.5, -0.5]).astype(complex), check=False)
     with pytest.raises(CorruptedStateError):
-        sample_bitstrings(bad.populations, 10, (0.0, 0.0), rng)
-    leaky = DensityMatrix(1, np.diag([0.6, 0.2]).astype(complex), check=False)
-    with pytest.raises(CorruptedStateError):
-        sample_bitstrings(leaky.populations, 10, (0.0, 0.0), rng)
+        sample_bitstrings(np.array([1.5, -0.5]), 10, (0.0, 0.0), rng)
+    with pytest.raises(CorruptedStateError):  # leaky: sums to 0.8
+        sample_bitstrings(np.array([0.6, 0.2]), 10, (0.0, 0.0), rng)
     with pytest.raises(ValueError):
         sample_bitstrings(plus_state(1).populations, 0, (0.0, 0.0), rng)
     with pytest.raises(ValueError, match="populations of length 2"):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
+import qreservoir.noise
 from qreservoir import (DensityMatrix, DeviceNoiseProfile, ProfileError,
                         SubsystemLayout, Topology, amplitude_damping_channel,
                         apply_channel, apply_device_noise, apply_layer,
@@ -140,6 +141,12 @@ def test_topology_normalizes_and_validates():
     with pytest.raises(ProfileError):
         Topology(4, ((0, 1), (1, 0)))
     Topology(0, ())  # unspecified size
+
+
+def test_topology_rejects_non_integer_qubits():
+    with pytest.raises(TypeError):
+        Topology(4, ((0.5, 2.5),))  # int() would give edge 0-2
+    assert Topology(4, ((np.int64(3), np.int32(1)),)).edges == ((1, 3),)
 
 
 def test_profile_field_validation():
@@ -293,29 +300,43 @@ def test_sequential_steps_keep_the_global_flip_symmetry_without_damping(
        u=hst.floats(-1.0, 1.0))
 def test_device_step_is_cptp_on_random_profiles(profile, u):
     # Choi matrix C = sum_jk E_jk (x) Phi(E_jk) of one 2-qubit step. The step
-    # symmetrises its output, so it is only applied to Hermitian matrices and
-    # Phi(E_jk) = (Phi(E_jk + E_kj) - i Phi(i (E_jk - E_kj))) / 2 by linearity.
+    # takes density matrices only, so each Phi(E_jk) is rebuilt by linearity
+    # from pure states: with P and Q the projectors on (|j> + |k>)/sqrt2 and
+    # (|j> + i|k>)/sqrt2, E_jk = P + iQ - (1 + i)(E_jj + E_kk)/2.
     layer = build_layer(u, SubsystemLayout.default(2), 2.0)
+    d = 4
+    basis = np.eye(d, dtype=np.complex128)
 
-    def step(m):
-        state = DensityMatrix(2, m.astype(np.complex128), check=False)
+    def step(v):
+        state = DensityMatrix(2, np.outer(v, v.conj()))
         return apply_device_noise(state, profile, layer).matrix
 
-    d = 4
+    diag = [step(basis[j]) for j in range(d)]
     choi = np.zeros((d, d, d, d), dtype=np.complex128)  # [j, a, k, b]
     for j in range(d):
         for k in range(d):
-            e = np.zeros((d, d))
-            e[j, k] = 1.0
             if j == k:
-                choi[j, :, k, :] = step(e)
+                choi[j, :, k, :] = diag[j]
             else:
-                choi[j, :, k, :] = (step(e + e.T) - 1j * step(1j * (e - e.T))) / 2
+                p = step((basis[j] + basis[k]) / np.sqrt(2))
+                q = step((basis[j] + 1j * basis[k]) / np.sqrt(2))
+                choi[j, :, k, :] = p + 1j * q - (1 + 1j) / 2 * (diag[j] + diag[k])
     choi = choi.reshape(d * d, d * d)
     assert np.abs(choi - choi.conj().T).max() <= 1e-12
     assert np.linalg.eigvalsh(choi).min() >= -1e-12
     partial = np.trace(choi.reshape(d, d, d, d), axis1=1, axis2=3)
     assert np.abs(partial - np.eye(d)).max() <= 1e-12
+
+
+def test_device_step_validates_its_result(monkeypatch):
+    """The step's output is a checked DensityMatrix: a kernel that breaks the
+    trace makes the step raise instead of returning an invalid state."""
+    kernel = qreservoir.noise._apply_superop_tensor
+    monkeypatch.setattr(qreservoir.noise, "_apply_superop_tensor",
+                        lambda m, sup, targets: 2 * kernel(m, sup, targets))
+    layer = build_layer(0.3, SubsystemLayout.default(2), 2.0)
+    with pytest.raises(ValueError, match="trace must be 1"):
+        apply_device_noise(plus_state(2), zero_noise(), layer)
 
 
 @pytest.mark.parametrize("profile", [

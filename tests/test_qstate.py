@@ -109,6 +109,19 @@ def test_unitary_gate_validation():
         KrausChannel((0, 1, 2), (np.eye(8),))
 
 
+def test_channel_rejects_non_integer_targets():
+    with pytest.raises(TypeError):
+        KrausChannel((1.7,), (np.eye(2),))  # int() would target qubit 1
+    assert KrausChannel((np.int64(1),), (np.eye(2),)).targets == (1,)
+
+
+def test_density_matrix_is_always_validated():
+    with pytest.raises(TypeError):  # no third field to switch the check off
+        DensityMatrix(1, np.eye(2) / 2, False)
+    with pytest.raises(ValueError, match="trace must be 1"):
+        DensityMatrix(1, np.diag([0.6, 0.2]))
+
+
 def test_kraus_channel_validation():
     with pytest.raises(InvalidChannelError):
         KrausChannel((0,), (np.eye(2) * 0.5,))  # completeness broken
