@@ -14,6 +14,9 @@ from qreservoir import (DensityMatrix, DeviceNoiseProfile, ProfileError,
                         load_noise_profile, maximally_mixed,
                         phase_damping_channel, plus_state, preset_profile,
                         zero_noise, zz_crosstalk_gate)
+from qreservoir.noise import (_contract_pair_axis, _hermitian_part, _noise_plan,
+                              _on_pair, _pair_block_superop)
+from qreservoir.qstate import _apply_superop_tensor
 
 PROFILE_DIR = Path(__file__).resolve().parent.parent / "profiles"
 
@@ -331,9 +334,13 @@ def test_device_step_is_cptp_on_random_profiles(profile, u):
 def test_device_step_validates_its_result(monkeypatch):
     """The step's output is a checked DensityMatrix: a kernel that breaks the
     trace makes the step raise instead of returning an invalid state."""
-    kernel = qreservoir.noise._apply_superop_tensor
-    monkeypatch.setattr(qreservoir.noise, "_apply_superop_tensor",
-                        lambda m, sup, targets: 2 * kernel(m, sup, targets))
+    kernel = qreservoir.noise._contract_pair_axis
+
+    def doubled(*args):
+        v, order = kernel(*args)
+        return 2 * v, order
+
+    monkeypatch.setattr(qreservoir.noise, "_contract_pair_axis", doubled)
     layer = build_layer(0.3, SubsystemLayout.default(2), 2.0)
     with pytest.raises(ValueError, match="trace must be 1"):
         apply_device_noise(plus_state(2), zero_noise(), layer)
@@ -405,3 +412,149 @@ def test_device_step_rejects_crosstalk_edge_outside_the_register():
     inside = load_noise_profile("[crosstalk]\ntheta = 0.3\n"
                                 "[topology]\nedges = 0-3\n")
     apply_device_noise(plus_state(4), inside, layer)
+
+
+# ------------------------------------------ the pair-major step, bit for bit
+
+def naive_step(state, profile, layer):
+    """The device step on the naive kernel: `_apply_superop_tensor` (which
+    ends with (m + m^H) / 2) per pair block, the two crosstalk phase
+    multiplies, then per qubit the composed one-qubit idle superoperator."""
+    n = state.num_qubits
+    phases, gate_noise, _ = _noise_plan(profile, n)
+    block = _pair_block_superop(layer.block, gate_noise).reshape((2,) * 8)
+    m = state.matrix
+    for pair in layer.layout.pairs:
+        m = _apply_superop_tensor(m, block, pair)
+    if phases is not None:
+        m = m * phases[:, None]
+        m = m * phases.conj()[None, :]
+    idle = None
+    for damping, g in ((amplitude_damping_channel, profile.gamma_idle),
+                       (phase_damping_channel, profile.lambda_idle)):
+        if g > 0.0:
+            sup = damping(g, 0)._superop.reshape(4, 4)
+            idle = sup if idle is None else sup @ idle
+    if idle is not None:
+        for q in range(n):
+            m = _apply_superop_tensor(m, idle.reshape((2,) * 4), (q,))
+    return m
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+_ZERO_OR_PROBABILITY = hst.one_of(hst.just(0.0), hst.floats(1e-4, 0.5))
+
+
+@hst.composite
+def _pairings_and_profiles(draw, sizes):
+    """A pairing (adjacent, reversed or not adjacent) and a profile whose
+    every knob is zero or not, on any edge set, inter-pair edges included."""
+    n = draw(hst.sampled_from(sizes))
+    order = draw(hst.permutations(range(n)))
+    pairs = tuple((order[k], order[k + 1]) for k in range(0, n, 2))
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    profile = draw(hst.builds(
+        DeviceNoiseProfile, p1=_ZERO_OR_PROBABILITY, p2=_ZERO_OR_PROBABILITY,
+        gamma_idle=_ZERO_OR_PROBABILITY, lambda_idle=_ZERO_OR_PROBABILITY,
+        zz_theta=hst.one_of(hst.just(0.0), hst.floats(-3.0, 3.0)),
+        topology=hst.lists(hst.sampled_from(edges), unique=True).map(
+            lambda e: Topology(n, tuple(e)))))
+    return SubsystemLayout(n, pairs), profile
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(case=_pairings_and_profiles((4, 6)), u=hst.floats(-1.0, 1.0),
+       seed=hst.integers(0, 2 ** 16))
+def test_device_step_equals_the_naive_kernel_bit_for_bit(case, u, seed):
+    layout, profile = case
+    layer = build_layer(u, layout, 2.0)
+    state = random_density(layout.num_qubits, seed)
+    got = apply_device_noise(state, profile, layer).matrix
+    assert same_bits(got, naive_step(state, profile, layer))
+
+
+@pytest.mark.parametrize("name", ["strong-dense", "weak-sparse"])
+@pytest.mark.parametrize("pairs", [((0, 1), (2, 3), (4, 5), (6, 7)),
+                                   ((1, 0), (3, 2), (5, 4), (7, 6)),
+                                   ((0, 4), (5, 1), (2, 7), (3, 6))],
+                         ids=["adjacent", "reversed", "non-adjacent"])
+def test_shipped_profiles_step_equals_the_naive_kernel_bit_for_bit(name, pairs):
+    profile = preset_profile(name, 8)
+    layout = SubsystemLayout(8, pairs)
+    got = want = plus_state(8)
+    for u in np.random.default_rng(11).uniform(-1.0, 1.0, size=3):
+        layer = build_layer(float(u), layout, 2.0)
+        got = apply_device_noise(got, profile, layer)
+        want = DensityMatrix(8, naive_step(want, profile, layer))
+        assert same_bits(got.matrix, want.matrix)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30, database=None)
+@given(case=_pairings_and_profiles((2,)), u=hst.floats(-1.0, 1.0),
+       seed=hst.integers(0, 2 ** 16))
+def test_two_qubit_step_is_within_rounding_of_the_naive_kernel(case, u, seed):
+    # with one pair, the idle contraction of the naive kernel is a 4x4
+    # matrix product while the pair-major one is a matrix-vector product
+    # (see _contract_pair_axis), so the sums round differently
+    layout, profile = case
+    layer = build_layer(u, layout, 2.0)
+    state = random_density(2, seed)
+    got = apply_device_noise(state, profile, layer).matrix
+    assert np.abs(got - naive_step(state, profile, layer)).max() <= 1e-15
+
+
+def kron_pair_block(block, gate_noise):
+    """`_pair_block_superop` with every Kronecker product taken by np.kron."""
+    eye = np.eye(2, dtype=np.complex128)
+    total = None
+    for pos, m in block:
+        if pos == (0,):
+            u = np.kron(m, eye)
+        elif pos == (1,):
+            u = np.kron(eye, m)
+        else:
+            u = m
+        step = np.kron(u, u.conj())
+        total = step if total is None else step @ total
+        if pos in gate_noise:
+            total = gate_noise[pos] @ total
+    return total
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(u=hst.floats(-1.0, 1.0), scale=hst.floats(-10.0, 10.0),
+       p1=_ZERO_OR_PROBABILITY, p2=_ZERO_OR_PROBABILITY,
+       seed=hst.integers(0, 2 ** 16))
+def test_broadcast_kronecker_products_equal_np_kron_bit_for_bit(
+        u, scale, p1, p2, seed):
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    eye = np.eye(2, dtype=np.complex128)
+    assert same_bits(_on_pair((0,), m), np.kron(m, eye))
+    assert same_bits(_on_pair((1,), m), np.kron(eye, m))
+    _, gate_noise, _ = _noise_plan(DeviceNoiseProfile(p1=p1, p2=p2), 2)
+    block = build_layer(u, SubsystemLayout.default(2), scale).block
+    assert same_bits(_pair_block_superop(block, gate_noise),
+                     kron_pair_block(block, gate_noise))
+
+
+@settings(derandomize=True, deadline=None, max_examples=30, database=None)
+@given(gamma=hst.floats(1e-4, 1.0), lam=_ZERO_OR_PROBABILITY,
+       seed=hst.integers(0, 2 ** 16))
+def test_idle_superoperator_is_real_and_keeps_exact_hermiticity(gamma, lam, seed):
+    # the premise of symmetrising only the first idle contraction: the idle
+    # superoperator is real, and its output on an exactly Hermitian matrix is
+    # exactly Hermitian, so (m + m^H) / 2 leaves it as it is
+    _, _, idle = _noise_plan(DeviceNoiseProfile(gamma_idle=gamma, lambda_idle=lam), 6)
+    rng = np.random.default_rng(seed)
+    shape = (16,) * 3
+    v = _hermitian_part(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    assert np.array_equal(v, _hermitian_part(v))
+    for sup in idle:
+        assert not sup.imag.any()
+        for p in range(3):
+            out, _ = _contract_pair_axis(v, [0, 1, 2], sup, p)
+            assert np.array_equal(out, _hermitian_part(out))
