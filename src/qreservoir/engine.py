@@ -35,6 +35,8 @@ class ReservoirConfig:
         s = self.shots
         if s != EXACT and (not isinstance(s, int) or s < 1):
             raise ConfigError(f"shots must be 'exact' or a positive int, got {s!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def exact(self) -> bool:

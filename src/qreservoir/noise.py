@@ -165,10 +165,10 @@ def _noise_plan(profile: DeviceNoiseProfile, n: int):
 
     Returns (crosstalk phase diagonal or None, {pair positions: 16x16
     superoperator of the depolarizing that follows a gate there, if on},
-    composed one-qubit idle superoperator or None). The crosstalk unitaries
-    are all diagonal, so their product collapses to one phase vector. The idle
-    superoperator is given for either position of a pair, as the 16x16 `idle
-    (x) I` on the pair axis (see `_contract_pair_axis`).
+    idle superoperator of a pair or None). The crosstalk unitaries are all
+    diagonal, so their product collapses to one phase vector. The idle
+    damping acts on each qubit alike, so on a pair it is the real 16x16
+    `idle (x) idle` in (row_i, row_j, col_i, col_j) order.
     """
     gate_noise = {}
     for pos, p in (((0,), profile.p1), ((1,), profile.p1), ((0, 1), profile.p2)):
@@ -192,9 +192,8 @@ def _noise_plan(profile: DeviceNoiseProfile, n: int):
             sup = damping(g, 0)._superop.reshape(4, 4)
             idle = sup if idle is None else sup @ idle
     if idle is not None:
-        t, eye = idle.reshape(2, 2, 2, 2), np.eye(2)  # t[row, col, row', col']
-        idle = tuple(np.einsum(spec, t, eye, eye).reshape(16, 16) for spec in
-                     ("acbd,xy,zw->axczbydw", "acbd,xy,zw->xazcybwd"))
+        t = idle.reshape(2, 2, 2, 2)  # t[row, col, row', col']
+        idle = np.einsum("acbd,xzyw->axczbydw", t, t).reshape(16, 16)
     return phases, gate_noise, idle
 
 
@@ -213,40 +212,13 @@ def _pair_block_superop(block, gate_noise) -> np.ndarray:
     return total
 
 
-def _contract_pair_axis(v: np.ndarray, order: list, sup: np.ndarray, p: int):
-    """Apply a 16x16 superoperator to pair p of a pair-major (16,)*m matrix
-    whose axis k holds pair order[k]; returns the new array and its order.
-
-    Each call is the one matrix product `sup @ X` that
-    `qstate._apply_superop_tensor` makes, with the same sums. On the last of
-    several axes, X is the transposed view of the array (as a one-column
-    right operand it would send BLAS to its matrix-vector kernel, whose sums
-    round differently), and that pair comes out on the first axis. With one
-    pair the matrix-vector kernel is unavoidable; the naive kernel takes it
-    too for the pair block, but not for the 4x4 idle superoperator, so at
-    n = 2 the idle sums differ in the last bit."""
-    j = order.index(p)
-    if 0 < j == v.ndim - 1:
-        return (sup @ v.reshape(-1, 16).T).reshape(v.shape), [p] + order[:-1]
-    return np.matmul(sup, v.reshape(16 ** j, 16, -1)).reshape(v.shape), order
-
-
-def _hermitian_part(v: np.ndarray) -> np.ndarray:
-    """(rho + rho^H) / 2 of a pair-major (16,)*m matrix, as a new array. The
-    conjugate transpose swaps the row and column halves of every pair axis."""
-    m = v.ndim
-    w = v.reshape((4, 4) * m)
-    swap = [a for p in range(m) for a in (2 * p + 1, 2 * p)]
-    h = np.conjugate(w.transpose(swap), out=np.empty_like(w))
-    h += w
-    h /= 2
-    return h.reshape(v.shape)
-
-
-def _qubit_axes(pairs, order, n) -> list:
-    """The row and column qubit axes, (r_i, r_j, c_i, c_j) per pair in axis
-    order, that a 2^n x 2^n matrix is permuted by into pair-major form."""
-    return [a for p in order for i, j in [pairs[p]] for a in (i, j, n + i, n + j)]
+def _on_every_pair(v: np.ndarray, sup: np.ndarray) -> np.ndarray:
+    """Apply a 16x16 superoperator to every pair axis of a pair-major (16,)*m
+    matrix. Each product contracts the last axis and moves it to the front, so
+    after m products every axis is back in its place."""
+    for _ in range(v.ndim):
+        v = (sup @ v.reshape(-1, 16).T).reshape(v.shape)
+    return v
 
 
 def apply_device_noise(state: DensityMatrix, profile: DeviceNoiseProfile,
@@ -256,16 +228,10 @@ def apply_device_noise(state: DensityMatrix, profile: DeviceNoiseProfile,
     result is validated once, as it is wrapped in a DensityMatrix.
 
     The matrix is permuted once into pair-major axes, one (r_i, r_j, c_i,
-    c_j) axis of 16 per pair, so that each superoperator is one matrix
-    product on one axis, and permuted back at the end. The pairs start in
-    reverse order, so every pair block contracts the last axis as one matrix
-    product and moves it to the front. Every floating-point operation is
-    that of the naive sequence of `qstate._apply_superop_tensor` calls, each
-    followed by (m + m^H) / 2, so from n = 4 on the result is the same to the
-    bit (at n = 2 the idle damping rounds differently, within 1e-16). Only
-    the first idle contraction is symmetrised: the idle superoperator is real
-    and maps an exactly Hermitian matrix to an exactly Hermitian one, so the
-    later symmetrisations would not change a bit.
+    c_j) axis of 16 per pair in layout order, and permuted back at the end.
+    The pair blocks and the idle damping are then one matrix product per
+    pair each, with no symmetrisation; the result equals the naive sequence
+    of `qstate._apply_superop_tensor` calls within rounding (1e-15).
     """
     n = state.num_qubits
     profile.topology.check_register(n)
@@ -273,31 +239,20 @@ def apply_device_noise(state: DensityMatrix, profile: DeviceNoiseProfile,
         raise ValueError(
             f"layer is for {layer.layout.num_qubits} qubits, state has {n}")
     zz_phases, gate_noise, idle = _noise_plan(profile, n)
-    block = _pair_block_superop(layer.block, gate_noise)
     pairs = layer.layout.pairs
     m = len(pairs)
-    order = list(range(m))[::-1]  # the pair on each axis
-    v = state.matrix.reshape((2,) * (2 * n)).transpose(
-        _qubit_axes(pairs, order, n)).reshape((16,) * m)
-    for p in range(m):
-        v, order = _contract_pair_axis(v, order, block, p)
-        v = _hermitian_part(v)
+    axes = [a for i, j in pairs for a in (i, j, n + i, n + j)]
+    v = state.matrix.reshape((2,) * (2 * n)).transpose(axes).reshape((16,) * m)
+    v = _on_every_pair(v, _pair_block_superop(layer.block, gate_noise))
     if zz_phases is not None:
-        qubits = [q for p in order for q in pairs[p]]
+        qubits = [q for pair in pairs for q in pair]
         rows = zz_phases.reshape((2,) * n).transpose(qubits).reshape((4,) * m)
         w = v.reshape((4, 4) * m)
         w *= rows.reshape((4, 1) * m)
         w *= rows.conj().reshape((1, 4) * m)
     if idle is not None:
-        where = {q: (p, k) for p, pair in enumerate(pairs)
-                 for k, q in enumerate(pair)}
-        for q in range(n):
-            p, k = where[q]
-            v, order = _contract_pair_axis(v, order, idle[k], p)
-            if q == 0:
-                v = _hermitian_part(v)
-    matrix = v.reshape((2,) * (2 * n)).transpose(
-        np.argsort(_qubit_axes(pairs, order, n)))
+        v = _on_every_pair(v, idle)
+    matrix = v.reshape((2,) * (2 * n)).transpose(np.argsort(axes))
     return DensityMatrix(n, matrix.reshape(1 << n, 1 << n))
 
 

@@ -501,6 +501,18 @@ def test_main_seed_override_changes_manifest(tmp_path, capsys):
     assert manifest["config"]["seed"] == 9
 
 
+def test_negative_seed_fails_before_any_output(tmp_path, capsys):
+    # numpy's SeedSequence rejects a negative seed only once the run has
+    # started; the config must refuse it first, from the file or --seed
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        parse_config(write_narma_config(tmp_path, seed=-1))
+    out = tmp_path / "seeded"
+    assert main(["run", "--config", str(write_narma_config(tmp_path)),
+                 "--seed", "-3", "--output-dir", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert not out.exists()
+
+
 def test_readme_command_line_names_exactly_the_subcommands(capsys):
     # a subcommand removed from the parser cannot linger in the docs, and a
     # new one cannot go undocumented

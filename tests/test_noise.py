@@ -14,8 +14,7 @@ from qreservoir import (DensityMatrix, DeviceNoiseProfile, ProfileError,
                         load_noise_profile, maximally_mixed,
                         phase_damping_channel, plus_state, preset_profile,
                         zero_noise, zz_crosstalk_gate)
-from qreservoir.noise import (_contract_pair_axis, _hermitian_part, _noise_plan,
-                              _on_pair, _pair_block_superop)
+from qreservoir.noise import _noise_plan, _on_pair, _pair_block_superop
 from qreservoir.qstate import _apply_superop_tensor
 
 PROFILE_DIR = Path(__file__).resolve().parent.parent / "profiles"
@@ -334,13 +333,12 @@ def test_device_step_is_cptp_on_random_profiles(profile, u):
 def test_device_step_validates_its_result(monkeypatch):
     """The step's output is a checked DensityMatrix: a kernel that breaks the
     trace makes the step raise instead of returning an invalid state."""
-    kernel = qreservoir.noise._contract_pair_axis
+    kernel = qreservoir.noise._on_every_pair
 
     def doubled(*args):
-        v, order = kernel(*args)
-        return 2 * v, order
+        return 2 * kernel(*args)
 
-    monkeypatch.setattr(qreservoir.noise, "_contract_pair_axis", doubled)
+    monkeypatch.setattr(qreservoir.noise, "_on_every_pair", doubled)
     layer = build_layer(0.3, SubsystemLayout.default(2), 2.0)
     with pytest.raises(ValueError, match="trace must be 1"):
         apply_device_noise(plus_state(2), zero_noise(), layer)
@@ -414,7 +412,7 @@ def test_device_step_rejects_crosstalk_edge_outside_the_register():
     apply_device_noise(plus_state(4), inside, layer)
 
 
-# ------------------------------------------ the pair-major step, bit for bit
+# ------------------------------ the pair-major step against the naive kernel
 
 def naive_step(state, profile, layer):
     """The device step on the naive kernel: `_apply_superop_tensor` (which
@@ -465,6 +463,8 @@ def _pairings_and_profiles(draw, sizes):
     return SubsystemLayout(n, pairs), profile
 
 
+# The step makes one product per pair with no (m + m^H) / 2, so it sums in
+# another order than the naive kernel and agrees with it within rounding.
 @settings(derandomize=True, deadline=None, max_examples=60, database=None)
 @given(case=_pairings_and_profiles((4, 6)), u=hst.floats(-1.0, 1.0),
        seed=hst.integers(0, 2 ** 16))
@@ -473,7 +473,7 @@ def test_device_step_equals_the_naive_kernel_bit_for_bit(case, u, seed):
     layer = build_layer(u, layout, 2.0)
     state = random_density(layout.num_qubits, seed)
     got = apply_device_noise(state, profile, layer).matrix
-    assert same_bits(got, naive_step(state, profile, layer))
+    assert np.abs(got - naive_step(state, profile, layer)).max() <= 1e-15
 
 
 @pytest.mark.parametrize("name", ["strong-dense", "weak-sparse"])
@@ -489,21 +489,41 @@ def test_shipped_profiles_step_equals_the_naive_kernel_bit_for_bit(name, pairs):
         layer = build_layer(float(u), layout, 2.0)
         got = apply_device_noise(got, profile, layer)
         want = DensityMatrix(8, naive_step(want, profile, layer))
-        assert same_bits(got.matrix, want.matrix)
+        assert np.abs(got.matrix - want.matrix).max() <= 1e-15
 
 
 @settings(derandomize=True, deadline=None, max_examples=30, database=None)
 @given(case=_pairings_and_profiles((2,)), u=hst.floats(-1.0, 1.0),
        seed=hst.integers(0, 2 ** 16))
 def test_two_qubit_step_is_within_rounding_of_the_naive_kernel(case, u, seed):
-    # with one pair, the idle contraction of the naive kernel is a 4x4
-    # matrix product while the pair-major one is a matrix-vector product
-    # (see _contract_pair_axis), so the sums round differently
+    # with one pair the whole register is a single pair block, the case where
+    # the step and the naive kernel share the fewest contractions
     layout, profile = case
     layer = build_layer(u, layout, 2.0)
     state = random_density(2, seed)
     got = apply_device_noise(state, profile, layer).matrix
     assert np.abs(got - naive_step(state, profile, layer)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("name", ["strong-dense", "weak-sparse"])
+@pytest.mark.parametrize("pairs", [((0, 1), (2, 3)), ((1, 0), (3, 2))],
+                         ids=["adjacent", "reversed"])
+def test_unsymmetrised_step_does_not_drift_over_a_long_trajectory(name, pairs):
+    # nothing re-symmetrises the state, so rounding could build up; over
+    # 2000 steps it must stay Hermitian and trace-one far inside the
+    # DensityMatrix tolerances (1e-10)
+    profile = preset_profile(name, 4)
+    layout = SubsystemLayout(4, pairs)
+    state = plus_state(4)
+    herm = trace = 0.0
+    for u in np.random.default_rng(5).uniform(-1.0, 1.0, size=2000):
+        layer = build_layer(float(u), layout, 2.0)
+        state = apply_device_noise(state, profile, layer)
+        m = state.matrix
+        herm = max(herm, np.abs(m - m.conj().T).max())
+        trace = max(trace, abs(m.trace() - 1.0))
+    assert herm <= 1e-15
+    assert trace <= 1e-12
 
 
 def kron_pair_block(block, gate_noise):
@@ -539,22 +559,3 @@ def test_broadcast_kronecker_products_equal_np_kron_bit_for_bit(
     block = build_layer(u, SubsystemLayout.default(2), scale).block
     assert same_bits(_pair_block_superop(block, gate_noise),
                      kron_pair_block(block, gate_noise))
-
-
-@settings(derandomize=True, deadline=None, max_examples=30, database=None)
-@given(gamma=hst.floats(1e-4, 1.0), lam=_ZERO_OR_PROBABILITY,
-       seed=hst.integers(0, 2 ** 16))
-def test_idle_superoperator_is_real_and_keeps_exact_hermiticity(gamma, lam, seed):
-    # the premise of symmetrising only the first idle contraction: the idle
-    # superoperator is real, and its output on an exactly Hermitian matrix is
-    # exactly Hermitian, so (m + m^H) / 2 leaves it as it is
-    _, _, idle = _noise_plan(DeviceNoiseProfile(gamma_idle=gamma, lambda_idle=lam), 6)
-    rng = np.random.default_rng(seed)
-    shape = (16,) * 3
-    v = _hermitian_part(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    assert np.array_equal(v, _hermitian_part(v))
-    for sup in idle:
-        assert not sup.imag.any()
-        for p in range(3):
-            out, _ = _contract_pair_axis(v, [0, 1, 2], sup, p)
-            assert np.array_equal(out, _hermitian_part(out))
