@@ -88,9 +88,10 @@ class ExperimentConfig:
         # reject what the run would only fail on after its first outputs
         check_capacity(self.num_qubits)
         try:
-            self.reservoir(self.seed)  # layout, scale and shots
+            reservoir = self.reservoir(self.seed)  # layout, scale and shots
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        object.__setattr__(self, "shots", reservoir.shots)
         self.profile.topology.check_register(self.num_qubits)
         if self.task == "classify" and not 2 <= self.folds <= self.samples_per_class:
             raise ConfigError(

@@ -4,6 +4,7 @@ Measurement never back-acts: each timestep is a fresh circuit run on hardware.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from typing import Union
 
@@ -21,6 +22,18 @@ _CLIP_TOL = 1e-9
 _MASS_TOL = 1e-6
 
 
+def _shot_count(shots) -> int:
+    """`shots` as an int: an integral count >= 1 that is not a bool, else
+    ValueError."""
+    try:
+        count = 0 if isinstance(shots, bool) else operator.index(shots)
+    except TypeError:
+        count = 0
+    if count < 1:
+        raise ValueError(f"shots must be a positive int, got {shots!r}")
+    return count
+
+
 @dataclass(frozen=True)
 class ReservoirConfig:
     layout: SubsystemLayout
@@ -32,9 +45,12 @@ class ReservoirConfig:
     def __post_init__(self):
         if not np.isfinite(self.scale):
             raise ConfigError(f"scale must be finite, got {self.scale}")
-        s = self.shots
-        if s != EXACT and (not isinstance(s, int) or s < 1):
-            raise ConfigError(f"shots must be 'exact' or a positive int, got {s!r}")
+        if self.shots != EXACT:
+            try:
+                object.__setattr__(self, "shots", _shot_count(self.shots))
+            except ValueError:
+                raise ConfigError(f"shots must be 'exact' or a positive int, "
+                                  f"got {self.shots!r}") from None
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -81,12 +97,22 @@ def sample_bitstrings(populations, shots: int, readout_flip,
                       rng: np.random.Generator) -> np.ndarray:
     """Draw `shots` n-bit strings from populations diag(rho), then apply flips.
 
-    Returns a (shots, n) array of 0/1. Bit i corresponds to qubit i.
+    Returns a (shots, n) array of 0/1. Bit i corresponds to qubit i; qubit 0
+    is the most significant bit of the basis index. The draws are those of
+    `rng.choice(2**n, shots, p=...)`, bit for bit: `u = rng.random(shots)`
+    against the normalised cumulative sum `cdf`, then, only when a flip
+    probability is positive, `rng.random((shots, n))`. Where `choice`
+    searches `cdf` for the whole index, the index is bisected one qubit at a
+    time from qubit 0: given the bits already read as `index`, qubit i reads 1
+    exactly when `cdf[index + 2**(n-1-i) - 1] <= u`, that is, when `choice`'s
+    index is at least `index + 2**(n-1-i)`. A bit flips when its draw falls
+    below r01 for a 0 and r10 for a 1.
     """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    shots = _shot_count(shots)
     probs = np.array(populations, dtype=np.float64)
     n = population_qubits(probs)
+    if not np.isfinite(probs).all():
+        raise CorruptedStateError("diagonal contains NaN/Inf")
     lo = probs.min()
     if lo < -_CLIP_TOL:
         raise CorruptedStateError(
@@ -97,14 +123,23 @@ def sample_bitstrings(populations, shots: int, readout_flip,
             f"diagonal mass {mass!r} deviates from 1 beyond tolerance")
     np.clip(probs, 0.0, None, out=probs)
     probs /= probs.sum()
-    indices = rng.choice(probs.size, size=shots, p=probs)
-    shifts = np.arange(n - 1, -1, -1)
-    bits = ((indices[:, None] >> shifts) & 1).astype(np.uint8)
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(shots)
+    columns = np.empty((n, shots), dtype=np.uint8)  # row i: qubit i's bits
+    index = np.zeros(shots, dtype=np.intp)
+    for i in range(n):
+        half = 1 << (n - 1 - i)
+        bit = cdf.take(index + (half - 1)) <= u
+        index += half * bit
+        columns[i] = bit
     r01, r10 = readout_flip
     if r01 > 0.0 or r10 > 0.0:
-        flip_prob = np.where(bits == 0, r01, r10)
-        bits ^= rng.random(bits.shape) < flip_prob
-    return bits
+        draws = rng.random((shots, n)).T
+        threshold = np.array([r01, r10])  # selects, never interpolates
+        for i in range(n):
+            columns[i] ^= draws[i] < threshold.take(columns[i])
+    return columns.T  # Fortran order: a per-qubit mean reads contiguous rows
 
 
 def evolve(inputs, config: ReservoirConfig) -> np.ndarray:

@@ -193,6 +193,14 @@ def test_experiment_config_direct_validation():
     assert "classify" in TASKS
 
 
+def test_experiment_config_shot_count_rule():
+    # a bool is rejected at construction, not after the whole evolution
+    with pytest.raises(ConfigError, match="shots must be"):
+        ExperimentConfig(task="narma2", shots=True)
+    cfg = ExperimentConfig(task="narma2", shots=np.int64(64))
+    assert cfg.shots == 64 and type(cfg.shots) is int
+
+
 @pytest.mark.parametrize("task, sections, error", [
     ("classify", "num_qubits = 3", ConfigError),
     ("classify", "num_qubits = 16", CapacityError),

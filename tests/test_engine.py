@@ -10,10 +10,11 @@ from qreservoir import (EXACT, ConfigError, CorruptedStateError, DensityMatrix,
                         DeviceNoiseProfile, FeatureSeries, ReservoirConfig,
                         SubsystemLayout, Topology, apply_device_noise, basis_state,
                         build_layer, esn_sweep, fit_linear_baseline,
-                        maximally_mixed, plus_state, preset_profile,
+                        maximally_mixed, measure, plus_state, preset_profile,
                         run_reservoir, sample_bitstrings, split_series,
                         stationarity_report, trace_distance, zero_noise)
 from qreservoir.cli import main
+from qreservoir.engine import _CLIP_TOL
 
 RNG = np.random.default_rng(42)
 INPUTS_20 = RNG.uniform(0.0, 0.2, size=20)
@@ -226,6 +227,101 @@ def test_sample_bitstrings_rejects_corrupted_diagonals():
         sample_bitstrings(plus_state(1).populations, 0, (0.0, 0.0), rng)
     with pytest.raises(ValueError, match="populations of length 2"):
         sample_bitstrings(np.array([0.5, 0.25, 0.25]), 10, (0.0, 0.0), rng)
+
+
+def test_sample_bitstrings_rejects_non_finite_populations():
+    rng = np.random.default_rng(0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(CorruptedStateError, match="NaN/Inf"):
+            sample_bitstrings(np.array([0.5, bad, 0.25, 0.25]), 10, (0.0, 0.0),
+                              rng)
+    # rejected before any draw: the stream is where a fresh one would be
+    assert rng.random() == np.random.default_rng(0).random()
+
+
+def test_sample_bitstrings_shot_count_rule():
+    rng = np.random.default_rng(0)
+    probs = plus_state(2).populations
+    for bad in (True, False, np.bool_(True), 2.0, "8", -3):
+        with pytest.raises(ValueError, match="shots must be"):
+            sample_bitstrings(probs, bad, (0.0, 0.0), rng)
+    for count in (np.int64(5), np.uint16(5), 5):
+        assert sample_bitstrings(probs, count, (0.0, 0.0), rng).shape == (5, 2)
+
+
+def _choice_oracle(populations, shots, readout_flip, rng):
+    """The reference sampler: one `Generator.choice` over the basis indices,
+    bits read through a shift table, flips thresholded through `np.where`."""
+    probs = np.clip(np.array(populations, dtype=np.float64), 0.0, None)
+    probs /= probs.sum()
+    n = probs.size.bit_length() - 1
+    indices = rng.choice(probs.size, size=shots, p=probs)
+    shifts = np.arange(n - 1, -1, -1)
+    bits = ((indices[:, None] >> shifts) & 1).astype(np.uint8)
+    r01, r10 = readout_flip
+    if r01 > 0.0 or r10 > 0.0:
+        flip_prob = np.where(bits == 0, r01, r10)
+        bits ^= rng.random(bits.shape) < flip_prob
+    return bits
+
+
+_ORACLE_FLIPS = hst.sampled_from([(0.0, 0.0), (0.02, 0.03), (0.0, 1.0),
+                                  (1.0, 0.0)])
+
+
+@hst.composite
+def _populations(draw, qubits):
+    """A population vector over `qubits` qubits: random weights, some of them
+    zero, and some zeros replaced by negatives within the clipping tolerance."""
+    n = draw(qubits)
+    rng = np.random.default_rng(draw(hst.integers(0, 2 ** 32 - 1)))
+    weights = rng.random(2 ** n)
+    weights[rng.random(2 ** n) < draw(hst.sampled_from([0.0, 0.3, 0.9]))] = 0.0
+    if not weights.any():
+        weights[rng.integers(2 ** n)] = 1.0
+    probs = weights / weights.sum()
+    if draw(hst.booleans()):
+        zeros = probs == 0.0
+        probs[zeros] = -_CLIP_TOL * rng.random(zeros.sum())
+    return probs
+
+
+@settings(derandomize=True, deadline=None, max_examples=120, database=None)
+@given(probs=_populations(hst.integers(1, 8)),
+       shots=hst.one_of(hst.integers(1, 70), hst.just(8192)),
+       flips=_ORACLE_FLIPS, seed=hst.integers(0, 2 ** 32 - 1))
+def test_sample_bitstrings_equals_choice_bit_for_bit(probs, shots, flips, seed):
+    # a numpy release that changes `choice` fails here, loudly, instead of
+    # silently moving every sampled artifact
+    bits = sample_bitstrings(probs, shots, flips, np.random.default_rng(seed))
+    expected = _choice_oracle(probs, shots, flips, np.random.default_rng(seed))
+    assert bits.dtype == np.uint8 and bits.shape == expected.shape
+    assert np.array_equal(bits, expected)
+
+
+@settings(derandomize=True, deadline=None, max_examples=25, database=None)
+@given(rows=hst.lists(_populations(hst.just(4)), min_size=1, max_size=3),
+       shots=hst.sampled_from([1, 33, 8192]), flips=_ORACLE_FLIPS,
+       seed=hst.integers(0, 2 ** 32 - 1))
+def test_sampled_features_equal_choice_oracle(rows, shots, flips, seed):
+    profile = DeviceNoiseProfile(readout_flip=flips)
+    cfg = ReservoirConfig(SubsystemLayout.default(4), scale=2.0,
+                          profile=profile, shots=shots, seed=seed)
+    features = measure(np.array(rows), cfg)
+    for t, probs in enumerate(rows, start=1):
+        bits = _choice_oracle(probs, shots, flips,
+                              np.random.default_rng([seed, t]))
+        assert np.array_equal(features.values[t - 1],
+                              1.0 - 2.0 * bits.mean(axis=0))
+
+
+def test_reservoir_config_shot_count_rule():
+    layout = SubsystemLayout.default(2)
+    for bad in (True, False, np.bool_(True), 8192.0, "8192", -1):
+        with pytest.raises(ConfigError, match="shots must be"):
+            ReservoirConfig(layout, scale=2.0, shots=bad)
+    cfg = ReservoirConfig(layout, scale=2.0, shots=np.int64(8192))
+    assert cfg.shots == 8192 and type(cfg.shots) is int
 
 
 def test_reservoir_config_validation():
