@@ -247,6 +247,9 @@ def check_esn_grid(node_counts, radii, input_weight_style: str,
         raise ConfigError(f"trials must be >= 1, got {trials}")
     if not node_counts or not radii:
         raise ConfigError("node_counts and radii must be non-empty")
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+               for v in node_counts):
+        raise ConfigError(f"node counts must be integers, got {tuple(node_counts)}")
     if min(node_counts) < 1:
         raise ConfigError(f"node counts must be >= 1, got {tuple(node_counts)}")
     if not all(0 < r < np.inf for r in radii):
@@ -257,10 +260,53 @@ def check_esn_grid(node_counts, radii, input_weight_style: str,
             f"{input_weight_style!r}")
 
 
+def _sweep_data(inputs, targets):
+    """The inputs and targets as float64 arrays; ConfigError unless both are
+    finite, the inputs are 1-d and the targets are (M,) or (K, M)."""
+    u = np.asarray(inputs, dtype=np.float64)
+    ys = np.asarray(targets, dtype=np.float64)
+    if u.ndim != 1:
+        raise ConfigError(f"inputs must be 1-d, got shape {u.shape}")
+    if not 1 <= ys.ndim <= 2 or ys.shape[-1] != u.size:
+        raise ConfigError(f"targets of shape {ys.shape} must be (M,) or (K, M) "
+                          f"with M = {u.size} inputs")
+    if not (np.isfinite(u).all() and np.isfinite(ys).all()):
+        raise ConfigError("inputs and targets must be finite")
+    return u, ys
+
+
+# Float64 elements of the stacked (radii x trials, M, nodes + 1) design that
+# one radius chunk of `esn_sweep` may fill; a chunk holds at least one radius.
+DESIGN_BUDGET = 1 << 16
+
+
+def _chunk_nmse(ws, wins, scale, u, ys, tr, te, energy) -> np.ndarray:
+    """NMSE of each target row over one radius chunk, shape (targets, radii,
+    trials): reservoir (r, b) is trial b's W rescaled by scale[r, b], and all
+    of them evolve as one batch into one design with a bias column."""
+    radii, trials = scale.shape
+    nodes = wins.shape[1]
+    batch, m = radii * trials, u.size
+    w_r = (ws * scale[:, :, None, None]).reshape(batch, nodes, nodes)
+    w_in = np.tile(wins, (radii, 1))
+    design = np.empty((batch, m, nodes + 1))
+    design[:, :, nodes] = 1.0
+    x = np.zeros((batch, nodes))
+    for t in range(m):
+        x = np.tanh(np.einsum("bji,bj->bi", w_r, x) + w_in * u[t])
+        design[:, t, :nodes] = x
+    p = np.linalg.pinv(design[:, tr, :], rcond=DEFAULT_RCOND)
+    nmse = np.empty((len(ys), radii, trials))
+    for i, y in enumerate(ys):
+        pred = np.einsum("btk,bk->bt", design[:, te, :], p @ y[tr])
+        err = ((pred - y[te]) ** 2).sum(axis=1) / energy[i]
+        nmse[i] = err.reshape(radii, trials)
+    return nmse
+
+
 def esn_sweep(inputs, targets, split, node_counts=DEFAULT_NODE_COUNTS,
               radii=DEFAULT_RADIUS_GRID, trials: int = 100,
-              input_weight_style: str = "pm1",
-              seed: int = 0) -> EsnSweepReport:
+              input_weight_style: str = "pm1", seed: int = 0):
     """NMSE statistics over the (nodes x radius x trial) grid.
 
     global_average: mean over every (radius, trial) pair.
@@ -269,15 +315,26 @@ def esn_sweep(inputs, targets, split, node_counts=DEFAULT_NODE_COUNTS,
     Trials draw W_in and W from substream (seed, nodes, trial): W_in binary
     ('pm1' for {-1,+1}, '01' for {0,1}) and W standard normal. The radius
     enters as a deterministic rescale of the shared per-trial draw.
+
+    `targets` of shape (M,) give one EsnSweepReport; shape (K, M) gives a
+    tuple of K reports, one per row, from the same reservoirs. Radii run in
+    chunks whose stacked design fits DESIGN_BUDGET: each chunk evolves its
+    radii x trials reservoirs as one batch and takes one pseudoinverse for
+    every target, with the same per-cell arithmetic as a radius at a time,
+    so the NMSEs do not depend on the chunk size.
     """
-    u = np.asarray(inputs, dtype=np.float64)
-    y = np.asarray(targets, dtype=np.float64)
+    u, targets = _sweep_data(inputs, targets)
+    ys = np.atleast_2d(targets)
     check_esn_grid(node_counts, radii, input_weight_style, trials)
     m = u.size
     washout, train, test = check_split(split, m)
     tr = slice(washout, washout + train)
     te = slice(washout + train, washout + train + test)
-    results = []
+    energy = [(y[te] ** 2).sum() for y in ys]
+    if not all(energy):
+        raise ConfigError("a target is zero over the whole test window")
+    rs = np.array(radii, dtype=np.float64)
+    results = [[] for _ in ys]
     for nodes in node_counts:
         ws = np.empty((trials, nodes, nodes))
         wins = np.empty((trials, nodes))
@@ -285,27 +342,23 @@ def esn_sweep(inputs, targets, split, node_counts=DEFAULT_NODE_COUNTS,
             rng = np.random.default_rng([seed, nodes, b])
             ws[b], wins[b] = _draw_esn(rng, nodes, input_weight_style)
         sr = np.abs(np.linalg.eigvals(ws)).max(axis=1)
-        nmse_grid = np.empty((len(radii), trials))
-        for ri, radius in enumerate(radii):
-            w_r = ws * (radius / sr)[:, None, None]
-            x = np.zeros((trials, nodes))
-            feats = np.empty((trials, m, nodes))
-            for t in range(m):
-                x = np.tanh(np.einsum("bji,bj->bi", w_r, x) + wins * u[t])
-                feats[:, t, :] = x
-            aug = np.concatenate([feats, np.ones((trials, m, 1))], axis=2)
-            w_out = np.linalg.pinv(aug[:, tr, :], rcond=DEFAULT_RCOND) @ y[tr]
-            pred = np.einsum("btk,bk->bt", aug[:, te, :], w_out)
-            nmse_grid[ri] = ((pred - y[te]) ** 2).sum(axis=1) / (y[te] ** 2).sum()
-        per_radius = nmse_grid.mean(axis=1)
-        best = int(per_radius.argmin())
-        results.append(EsnNodeResult(
-            nodes=int(nodes),
-            global_average=float(nmse_grid.mean()),
-            global_minimum=float(per_radius[best]),
-            best_radius=float(radii[best]),
-            per_radius_mean=per_radius,
-            nmse=nmse_grid,
-        ))
-    return EsnSweepReport(tuple(float(r) for r in radii), trials,
-                          input_weight_style, tuple(results))
+        chunk = max(1, DESIGN_BUDGET // (trials * m * (nodes + 1)))
+        nmse_grid = np.concatenate([
+            _chunk_nmse(ws, wins, rs[r0:r0 + chunk, None] / sr, u, ys, tr, te,
+                        energy)
+            for r0 in range(0, rs.size, chunk)], axis=1)
+        for k, grid in enumerate(nmse_grid):
+            per_radius = grid.mean(axis=1)
+            best = int(per_radius.argmin())
+            results[k].append(EsnNodeResult(
+                nodes=int(nodes),
+                global_average=float(grid.mean()),
+                global_minimum=float(per_radius[best]),
+                best_radius=float(radii[best]),
+                per_radius_mean=per_radius,
+                nmse=grid,
+            ))
+    reports = tuple(EsnSweepReport(tuple(float(r) for r in radii), trials,
+                                   input_weight_style, tuple(res))
+                    for res in results)
+    return reports if targets.ndim == 2 else reports[0]

@@ -181,11 +181,15 @@ def measure(populations, config: ReservoirConfig) -> FeatureSeries:
 def run_reservoir(inputs, config: ReservoirConfig, seeds=None):
     """`measure(evolve(inputs, config), config)`. Given `seeds`, evolves once
     and returns one FeatureSeries per seed, each measured as
-    `replace(config, seed=seed)` would be.
+    `replace(config, seed=seed)` would be; exact features never read the
+    seed, so exact mode measures once and returns that series for every seed.
     """
     populations = evolve(inputs, config)
     if seeds is None:
         return measure(populations, config)
+    if config.exact:
+        features = measure(populations, config)
+        return [features for _ in seeds]
     return [measure(populations, replace(config, seed=s)) for s in seeds]
 
 

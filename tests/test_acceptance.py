@@ -78,9 +78,12 @@ def test_criterion_2_linear_baseline_nmse(capsys):
 def test_criterion_3_esn_sweep_statistics(capsys):
     min_ok = avg_ok = mono_ok = True
     details = []
-    for order in (2, 5, 10):
-        u, y = narma_task(order)
-        rep = esn_sweep(u, y, SPLIT, input_weight_style="01", seed=0)
+    orders = (2, 5, 10)
+    # the three targets share one drive, so one sweep serves them all
+    u = narma_task(2)[0]
+    targets = np.stack([narma_task(order)[1] for order in orders])
+    reports = esn_sweep(u, targets, SPLIT, input_weight_style="01", seed=0)
+    for order, rep in zip(orders, reports):
         min2 = rep.result_for(2).global_minimum
         avg5 = rep.result_for(5).global_average
         min_ok &= ESN_MIN_N2[order] / 3 <= min2 <= ESN_MIN_N2[order] * 3

@@ -8,6 +8,7 @@ from qreservoir import (DEFAULT_RADIUS_GRID, REFERENCE_T_START, ConfigError,
                         fit_regression, gen_input, gen_narma,
                         gen_synthetic_sensor, input_signal_value, narma_task,
                         nmse, predict, preprocess_diff, run_esn)
+from qreservoir import benchmarks
 from qreservoir.benchmarks import radius_grid
 
 GOLDEN_RATIO_FIXED_POINT = (3 - np.sqrt(5)) / 4  # root of y = 0.4y + 0.4y^2 + 0.1
@@ -223,6 +224,82 @@ def test_esn_sweep_validation():
                   input_weight_style="binary")
     with pytest.raises(ConfigError, match="trials"):
         esn_sweep(u, y, (5, 20, 5), node_counts=(2,), radii=(0.5,), trials=0)
+    # bad data is rejected before any reservoir is drawn
+    grid = dict(node_counts=(2,), radii=(0.5,), trials=1)
+    with pytest.raises(ConfigError, match="finite"):
+        esn_sweep(u, np.where(np.arange(30) == 7, np.nan, y), (5, 20, 5), **grid)
+    with pytest.raises(ConfigError, match="finite"):
+        esn_sweep(np.where(np.arange(30) == 3, np.inf, u), y, (5, 20, 5), **grid)
+    with pytest.raises(ConfigError, match="zero over the whole test window"):
+        esn_sweep(u, np.where(np.arange(30) < 25, y, 0.0), (5, 20, 5), **grid)
+    with pytest.raises(ConfigError, match="zero over the whole test window"):
+        esn_sweep(u, np.stack([y, np.where(np.arange(30) < 25, y, 0.0)]),
+                  (5, 20, 5), **grid)
+    with pytest.raises(ConfigError, match="targets of shape"):
+        esn_sweep(u, y[:-1], (5, 20, 4), **grid)
+    with pytest.raises(ConfigError, match="targets of shape"):
+        esn_sweep(u, y[None, None, :], (5, 20, 5), **grid)
+    with pytest.raises(ConfigError, match="inputs must be 1-d"):
+        esn_sweep(u[None, :], y, (5, 20, 5), **grid)
+    with pytest.raises(ConfigError, match="node counts must be integers"):
+        esn_sweep(u, y, (5, 20, 5), node_counts=(2.5,), radii=(0.5,), trials=1)
+
+
+def _per_radius_sweep(u, y, split, node_counts, radii, trials, style, seed):
+    """The NMSE grid of each node count, one radius at a time."""
+    washout, train, test = split
+    tr = slice(washout, washout + train)
+    te = slice(washout + train, washout + train + test)
+    grids = []
+    for nodes in node_counts:
+        ws = np.empty((trials, nodes, nodes))
+        wins = np.empty((trials, nodes))
+        for b in range(trials):
+            rng = np.random.default_rng([seed, nodes, b])
+            ws[b], wins[b] = benchmarks._draw_esn(rng, nodes, style)
+        sr = np.abs(np.linalg.eigvals(ws)).max(axis=1)
+        grid = np.empty((len(radii), trials))
+        for ri, radius in enumerate(radii):
+            w_r = ws * (radius / sr)[:, None, None]
+            x = np.zeros((trials, nodes))
+            feats = np.empty((trials, u.size, nodes))
+            for t in range(u.size):
+                x = np.tanh(np.einsum("bji,bj->bi", w_r, x) + wins * u[t])
+                feats[:, t, :] = x
+            aug = np.concatenate([feats, np.ones((trials, u.size, 1))], axis=2)
+            w_out = np.linalg.pinv(aug[:, tr, :],
+                                   rcond=benchmarks.DEFAULT_RCOND) @ y[tr]
+            pred = np.einsum("btk,bk->bt", aug[:, te, :], w_out)
+            grid[ri] = ((pred - y[te]) ** 2).sum(axis=1) / (y[te] ** 2).sum()
+        grids.append(grid)
+    return grids
+
+
+@pytest.mark.parametrize("budget", [1, 600, 1 << 16],
+                         ids=["one-radius", "uneven-chunks", "default"])
+def test_esn_sweep_chunks_equal_the_per_radius_loop(monkeypatch, budget):
+    # 7 radii at 2 nodes x 2 trials x 50 rows fill chunks of 1 radius, of
+    # 600 // 300 = 2 radii (the last chunk holds one) or of all 7; the NMSEs
+    # are bit for bit those of one radius at a time
+    monkeypatch.setattr(benchmarks, "DESIGN_BUDGET", budget)
+    u, y2 = narma_task(2, length=50)
+    ys = np.stack([y2, narma_task(5, length=50)[1]])
+    radii = (0.1, 0.25, 0.4, 0.55, 0.7, 0.85, 1.0)
+    split = (5, 30, 15)
+    for style in ("01", "pm1"):
+        reports = esn_sweep(u, ys, split, node_counts=(2, 3), radii=radii,
+                            trials=2, input_weight_style=style, seed=4)
+        assert isinstance(reports, tuple) and len(reports) == 2
+        for y, rep in zip(ys, reports):
+            want = _per_radius_sweep(u, y, split, (2, 3), radii, 2, style, 4)
+            single = esn_sweep(u, y, split, node_counts=(2, 3), radii=radii,
+                               trials=2, input_weight_style=style, seed=4)
+            for grid, got, alone in zip(want, rep.results, single.results):
+                assert np.array_equal(got.nmse, grid)
+                assert np.array_equal(alone.nmse, grid)
+                assert np.array_equal(got.per_radius_mean, grid.mean(axis=1))
+                assert got.global_average == alone.global_average
+                assert got.best_radius == alone.best_radius
 
 
 def test_radius_grid_pins_the_default_and_rejects_bad_grids():

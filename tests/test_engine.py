@@ -13,6 +13,7 @@ from qreservoir import (EXACT, ConfigError, CorruptedStateError, DensityMatrix,
                         maximally_mixed, measure, plus_state, preset_profile,
                         run_reservoir, sample_bitstrings, split_series,
                         stationarity_report, trace_distance, zero_noise)
+from qreservoir import engine
 from qreservoir.cli import main
 from qreservoir.engine import _CLIP_TOL
 
@@ -187,6 +188,27 @@ def test_shared_evolution_matches_one_run_per_seed(register, shots, inputs,
     for seed, feats in zip(seeds, batch):
         alone = run_reservoir(inputs, replace(cfg, seed=seed))
         assert np.array_equal(feats.values, alone.values)
+
+
+def test_exact_features_are_measured_once_per_trajectory(monkeypatch):
+    # exact features never read the seed, so every seed gets the one series
+    calls = []
+    z_expectations = engine.pauli_z_expectations
+
+    def counting(probs):
+        calls.append(1)
+        return z_expectations(probs)
+
+    monkeypatch.setattr(engine, "pauli_z_expectations", counting)
+    layout, profile = SubsystemLayout.default(2), pair_local_profile()
+    cfg = ReservoirConfig(layout, scale=2.0, profile=profile)
+    batch = run_reservoir(INPUTS_20, cfg, [3, 4, 5, 6])
+    assert len(calls) == INPUTS_20.size
+    alone = run_reservoir(INPUTS_20, replace(cfg, seed=6))
+    assert len(calls) == 2 * INPUTS_20.size
+    assert all(np.array_equal(f.values, alone.values) for f in batch)
+    sampled = run_reservoir(INPUTS_20, replace(cfg, shots=16), [3, 4])
+    assert len(calls) == 2 * INPUTS_20.size and len(sampled) == 2
 
 
 def test_sample_bitstrings_on_basis_state():
