@@ -47,9 +47,16 @@ edges = 0-1, 1-2, 2-3, 0-2, 1-3
 """)
 print("\nloaded profile:", profile)
 
-layer = build_layer(0.15, SubsystemLayout.default(4), 2.0)
-state = apply_device_noise(plus_state(4), profile, layer)
+# the step carries the state pair-major: one (r_i, r_j, c_i, c_j) axis of 16
+# per pair, in layout order, and a second buffer that it overwrites
+layout = SubsystemLayout.default(4)
+layer = build_layer(0.15, layout, 2.0)
+axes = [a for i, j in layout.pairs for a in (i, j, 4 + i, 4 + j)]
+v = plus_state(4).matrix.reshape((2,) * 8).transpose(axes).copy()
+v = v.reshape((16,) * layout.num_pairs)
+v, _ = apply_device_noise(v, np.empty_like(v), profile, layer)
+rho = v.reshape((2,) * 8).transpose(np.argsort(axes)).reshape(16, 16)
 print("\none composed device step from |+>^4:")
-print("  trace:", state.matrix.trace().real)
-print("  purity Tr(rho^2):", (state.matrix @ state.matrix).trace().real)
-print("  min eigenvalue:", np.linalg.eigvalsh(state.matrix).min())
+print("  trace:", rho.trace().real)
+print("  purity Tr(rho^2):", (rho @ rho).trace().real)
+print("  min eigenvalue:", np.linalg.eigvalsh(rho).min())

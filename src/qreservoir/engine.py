@@ -12,8 +12,9 @@ import numpy as np
 
 from .circuit import SubsystemLayout, build_layer
 from .errors import ConfigError, CorruptedStateError
-from .noise import DeviceNoiseProfile, apply_device_noise, zero_noise
-from .qstate import pauli_z_expectations, plus_state, population_qubits
+from .noise import (DeviceNoiseProfile, apply_device_noise,
+                    pair_major_populations, zero_noise)
+from .qstate import check_capacity, pauli_z_expectations, population_qubits
 
 EXACT = "exact"
 
@@ -139,25 +140,33 @@ def sample_bitstrings(populations, shots: int, readout_flip,
         threshold = np.array([r01, r10])  # selects, never interpolates
         for i in range(n):
             columns[i] ^= draws[i] < threshold.take(columns[i])
-    return columns.T  # Fortran order: a per-qubit mean reads contiguous rows
+    return columns.T  # Fortran order: a per-qubit count reads contiguous rows
 
 
 def evolve(inputs, config: ReservoirConfig) -> np.ndarray:
     """Evolve rho_0 = |+><+|^n through one noisy layer per input; returns the
     populations diag(rho_t) after each step, shape (timesteps, 2^n). The
     trajectory depends only on the inputs, layout, scale and profile.
+
+    The state is carried pair-major (see `noise.apply_device_noise`) in two
+    reused buffers from step to step, and only its diagonal leaves; every
+    step's result is checked, so a corrupted step raises CorruptedStateError.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 1 or inputs.size < 1 or not np.isfinite(inputs).all():
         raise ConfigError(f"need a 1-d, non-empty, finite input sequence, "
                           f"got shape {inputs.shape}")
     layout = config.layout
-    state = plus_state(layout.num_qubits)
-    populations = np.empty((inputs.size, state.dim))
+    n = layout.num_qubits
+    check_capacity(n)
+    # |+><+|^n has every entry 1/2^n, so it is already pair-major
+    state = np.full((16,) * layout.num_pairs, 1.0 / (1 << n), dtype=np.complex128)
+    spare = np.empty_like(state)
+    populations = np.empty((inputs.size, 1 << n))
     for t, u in enumerate(inputs):
         layer = build_layer(float(u), layout, config.scale)
-        state = apply_device_noise(state, config.profile, layer)
-        populations[t] = state.populations
+        state, spare = apply_device_noise(state, spare, config.profile, layer)
+        populations[t].reshape((2,) * n)[...] = pair_major_populations(state, layout)
     return populations
 
 
@@ -174,7 +183,11 @@ def measure(populations, config: ReservoirConfig) -> FeatureSeries:
             rng = np.random.default_rng([config.seed, t])
             bits = sample_bitstrings(probs, config.shots,
                                      config.profile.readout_flip, rng)
-            rows[t - 1] = 1.0 - 2.0 * bits.mean(axis=0)  # bit 0 reads +1
+            # per-qubit counts over the contiguous rows of bits.T; a count is
+            # exact, so count / shots is bits.mean(axis=0), bit for bit
+            counts = np.fromiter(map(np.count_nonzero, bits.T), np.intp,
+                                 bits.shape[1])
+            rows[t - 1] = 1.0 - 2.0 * (counts / config.shots)  # bit 0 reads +1
     return FeatureSeries(rows)
 
 

@@ -13,10 +13,10 @@ from itertools import islice, product
 
 import numpy as np
 
-from .errors import ProfileError
-from .circuit import CircuitLayer
+from .errors import CorruptedStateError, ProfileError
+from .circuit import CircuitLayer, SubsystemLayout
 from .inifile import parse_pairs, read_ini
-from .qstate import DensityMatrix, KrausChannel
+from .qstate import HERMITICITY_TOL, TRACE_TOL, KrausChannel
 
 _I2 = np.eye(2, dtype=np.complex128)
 
@@ -212,48 +212,100 @@ def _pair_block_superop(block, gate_noise) -> np.ndarray:
     return total
 
 
-def _on_every_pair(v: np.ndarray, sup: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=128)
+def _step_plan(profile: DeviceNoiseProfile, layout: SubsystemLayout):
+    """Input-independent pieces of one pair-major step, built once per profile
+    and layout: (gate noise and idle as in `_noise_plan`, the crosstalk row
+    and column phases as `(4, 1)` and `(1, 4)` factors per pair axis or None,
+    the axes of the `(4, 4) * m` view that swap each pair's row and column).
+    Raises ProfileError unless the topology fits the register."""
+    n = layout.num_qubits
+    profile.topology.check_register(n)
+    zz_phases, gate_noise, idle = _noise_plan(profile, n)
+    m = layout.num_pairs
+    crosstalk = None
+    if zz_phases is not None:
+        qubits = [q for pair in layout.pairs for q in pair]
+        rows = zz_phases.reshape((2,) * n).transpose(qubits).reshape((4,) * m)
+        crosstalk = rows.reshape((4, 1) * m), rows.conj().reshape((1, 4) * m)
+    swap = tuple(a for k in range(m) for a in (2 * k + 1, 2 * k))
+    return gate_noise, idle, crosstalk, swap
+
+
+@lru_cache(maxsize=128)
+def _qubit_order(layout: SubsystemLayout) -> tuple:
+    """Axes that take a (2,) * n array from pair order to qubit order."""
+    return tuple(np.argsort([q for pair in layout.pairs for q in pair]))
+
+
+def pair_major_populations(v: np.ndarray, layout: SubsystemLayout) -> np.ndarray:
+    """diag(rho) of a pair-major state as a real (2,) * n view in qubit order.
+    On each pair axis the diagonal is r == c: indices 0, 5, 10 and 15."""
+    diagonal = v[(slice(None, None, 5),) * layout.num_pairs].real
+    return diagonal.reshape((2,) * layout.num_qubits).transpose(
+        _qubit_order(layout))
+
+
+def _on_every_pair(v: np.ndarray, spare: np.ndarray, sup: np.ndarray) -> np.ndarray:
     """Apply a 16x16 superoperator to every pair axis of a pair-major (16,)*m
-    matrix. Each product contracts the last axis and moves it to the front, so
-    after m products every axis is back in its place."""
+    state. Each product contracts the last axis, moves it to the front and is
+    written into the other buffer, so after m products every axis is back in
+    its place. Returns the buffer that holds the result; the other is free."""
     for _ in range(v.ndim):
-        v = (sup @ v.reshape(-1, 16).T).reshape(v.shape)
+        np.matmul(sup, v.reshape(-1, 16).T, out=spare.reshape(16, -1))
+        v, spare = spare, v
     return v
 
 
-def apply_device_noise(state: DensityMatrix, profile: DeviceNoiseProfile,
-                       layer: CircuitLayer) -> DensityMatrix:
-    """One full noisy timestep on the matrix: the layer's pair blocks with gate
-    noise folded in, then per-layer crosstalk, then per-qubit damping. The
-    result is validated once, as it is wrapped in a DensityMatrix.
+def apply_device_noise(v: np.ndarray, spare: np.ndarray,
+                       profile: DeviceNoiseProfile, layer: CircuitLayer):
+    """One full noisy timestep on a pair-major state: the layer's pair blocks
+    with gate noise folded in, then per-layer crosstalk, then per-qubit
+    damping. Returns (state, spare): the buffer that holds the result and the
+    one that is free.
 
-    The matrix is permuted once into pair-major axes, one (r_i, r_j, c_i,
-    c_j) axis of 16 per pair in layout order, and permuted back at the end.
-    The pair blocks and the idle damping are then one matrix product per
-    pair each, with no symmetrisation; the result equals the naive sequence
-    of `qstate._apply_superop_tensor` calls within rounding (1e-15).
+    `v` is the 2^n x 2^n matrix with one (r_i, r_j, c_i, c_j) axis of 16 per
+    pair in layout order, a C-contiguous complex (16,) * m array; `spare` is
+    a second one that is overwritten. With `axes = [a for i, j in pairs for a
+    in (i, j, n + i, n + j)]`, `rho.reshape((2,) * 2n).transpose(axes)` gives
+    `v` and `v.reshape((2,) * 2n).transpose(np.argsort(axes))` gives rho back.
+    The pair blocks and the idle damping are one matrix product per pair
+    each, with no symmetrisation; the result equals the naive sequence of
+    `qstate._apply_superop_tensor` calls within rounding (1e-15).
+
+    The result is validated as a `DensityMatrix` is, with the same bounds,
+    and a CorruptedStateError is raised unless its Hermiticity residual
+    against the row<->column swap (computed in the free buffer, so a NaN or
+    inf fails it) and its trace are within them.
     """
-    n = state.num_qubits
-    profile.topology.check_register(n)
-    if layer.layout.num_qubits != n:
-        raise ValueError(
-            f"layer is for {layer.layout.num_qubits} qubits, state has {n}")
-    zz_phases, gate_noise, idle = _noise_plan(profile, n)
-    pairs = layer.layout.pairs
-    m = len(pairs)
-    axes = [a for i, j in pairs for a in (i, j, n + i, n + j)]
-    v = state.matrix.reshape((2,) * (2 * n)).transpose(axes).reshape((16,) * m)
-    v = _on_every_pair(v, _pair_block_superop(layer.block, gate_noise))
-    if zz_phases is not None:
-        qubits = [q for pair in pairs for q in pair]
-        rows = zz_phases.reshape((2,) * n).transpose(qubits).reshape((4,) * m)
+    m = layer.layout.num_pairs
+    for buffer in (v, spare):
+        if buffer.shape != (16,) * m or not buffer.flags.c_contiguous:
+            raise ValueError(f"layer needs C-contiguous (16,) * {m} buffers, "
+                             f"got shape {buffer.shape}")
+    gate_noise, idle, crosstalk, swap = _step_plan(profile, layer.layout)
+    out = _on_every_pair(v, spare, _pair_block_superop(layer.block, gate_noise))
+    v, spare = out, (v if out is spare else spare)
+    if crosstalk is not None:
+        rows, cols = crosstalk
         w = v.reshape((4, 4) * m)
-        w *= rows.reshape((4, 1) * m)
-        w *= rows.conj().reshape((1, 4) * m)
+        w *= rows
+        w *= cols
     if idle is not None:
-        v = _on_every_pair(v, idle)
-    matrix = v.reshape((2,) * (2 * n)).transpose(np.argsort(axes))
-    return DensityMatrix(n, matrix.reshape(1 << n, 1 << n))
+        out = _on_every_pair(v, spare, idle)
+        v, spare = out, (v if out is spare else spare)
+    w = v.reshape((4, 4) * m)
+    residual = spare.reshape((4, 4) * m)
+    np.conjugate(w.transpose(swap), out=residual)
+    np.subtract(w, residual, out=residual)
+    herm = np.abs(residual).max()
+    if not herm <= HERMITICITY_TOL:
+        raise CorruptedStateError(
+            f"not Hermitian: max |rho - rho^dag| = {herm:.3e}")
+    tr = v[(slice(None, None, 5),) * m].sum()
+    if not abs(tr - 1.0) <= TRACE_TOL:
+        raise CorruptedStateError(f"trace must be 1, got {tr!r}")
+    return v, spare
 
 
 _PROFILE_KEYS = {

@@ -8,6 +8,7 @@ Qubit 0 is the most significant bit of the computational-basis index.
 from __future__ import annotations
 
 import operator
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,10 +31,27 @@ def _as_complex(m) -> np.ndarray:
     return out
 
 
+# bytes a trajectory holds per byte of one 2^n x 2^n complex matrix: the
+# state, the spare buffer and the step check's real temporary
+TRAJECTORY_FOOTPRINT = 2.5
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def check_capacity(n) -> None:
-    """Raise CapacityError unless n is a register size dense simulation supports."""
+    """Raise CapacityError unless n is a register size dense simulation supports:
+    in [1, MAX_QUBITS], with a trajectory's footprint within physical memory."""
     if not isinstance(n, int) or not 1 <= n <= MAX_QUBITS:
         raise CapacityError(f"num_qubits must be in [1, {MAX_QUBITS}], got {n!r}")
+    need = TRAJECTORY_FOOTPRINT * 16 * 4 ** n
+    have = _physical_memory()
+    if need > have:
+        raise CapacityError(
+            f"num_qubits = {n} needs about {need / 1e9:.1f} GB for a "
+            f"trajectory, more than the {have / 1e9:.1f} GB of physical memory")
 
 
 @dataclass(frozen=True, eq=False)

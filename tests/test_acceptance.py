@@ -12,7 +12,7 @@ import numpy as np
 
 from qreservoir import (DensityMatrix, DeviceNoiseProfile, ReservoirConfig,
                         SubsystemLayout, amplitude_damping_channel,
-                        apply_channel, apply_device_noise, build_layer,
+                        apply_channel, build_layer,
                         depolarizing_channel, esn_sweep, fit_classifier,
                         fit_linear_baseline, gen_synthetic_sensor, k_fold_cv,
                         maximally_mixed, narma_task, pauli_z_expectations,
@@ -20,6 +20,8 @@ from qreservoir import (DensityMatrix, DeviceNoiseProfile, ReservoirConfig,
                         preprocess_diff, preset_profile, run_reservoir,
                         sample_bitstrings, trace_distance)
 from qreservoir.cli import parse_config, run_experiment
+
+from dense_step import device_step
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -135,8 +137,8 @@ def test_criterion_5_echo_state_convergence(capsys):
     td = []
     for u in rng.uniform(0.0, 0.2, size=140):
         layer = build_layer(float(u), layout, 2.0)
-        a = apply_device_noise(a, profile, layer)
-        b = apply_device_noise(b, profile, layer)
+        a = device_step(a, profile, layer)
+        b = device_step(b, profile, layer)
         td.append(trace_distance(a, b))
     td = np.array(td)
     closed = 0.5 * (1.0 - p1) ** (2 * np.arange(1, td.size + 1))
@@ -174,8 +176,8 @@ def test_criterion_6_shot_estimator_calibration(capsys):
     layout = SubsystemLayout.default(8)
     state = plus_state(8)
     for u in narma_task(2, length=12)[0]:
-        state = apply_device_noise(state, profile,
-                                   build_layer(float(u), layout, 2.0))
+        state = device_step(state, profile,
+                            build_layer(float(u), layout, 2.0))
     exact = pauli_z_expectations(state.populations)
     reps, shots = 200, 8192
     feats = np.empty((reps, 8))
@@ -215,7 +217,7 @@ def test_criterion_7_cptp_property_suite(capsys):
         m = g @ g.conj().T
         st = DensityMatrix(2, m / np.trace(m))
         outs = [apply_channel(st, ch) for ch in channels]
-        step = apply_device_noise(st, profile, layer)
+        step = device_step(st, profile, layer)
         worst_step_trace = max(worst_step_trace,
                                abs(float(np.real(step.matrix.trace())) - 1.0))
         for out in outs + [step]:

@@ -10,7 +10,7 @@ import pytest
 
 from qreservoir import (CapacityError, ConfigError, FeatureSeries,
                         InputSignalSpec, ProfileError, REFERENCE_T_START,
-                        engine, gen_input, load_noise_profile)
+                        engine, gen_input, load_noise_profile, qstate)
 from qreservoir.cli import (ExperimentConfig, TASKS, derive_seed,
                             export_circuits, main, parse_config, run_experiment)
 
@@ -191,6 +191,15 @@ def test_experiment_config_direct_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig(task="narma2", trials=0)
     assert "classify" in TASKS
+
+
+def test_experiment_config_rejects_a_register_beyond_physical_memory(
+        monkeypatch):
+    # a trajectory at n = 8 needs 2.5 * 16 * 4^8 bytes, about 2.6 MB
+    monkeypatch.setattr(qstate, "_physical_memory", lambda: 2 ** 20)
+    with pytest.raises(CapacityError, match="physical memory"):
+        ExperimentConfig(task="narma2", num_qubits=8)
+    ExperimentConfig(task="narma2", num_qubits=6)
 
 
 def test_experiment_config_shot_count_rule():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as hst
 
 from qreservoir import (EXACT, ConfigError, CorruptedStateError, DensityMatrix,
                         DeviceNoiseProfile, FeatureSeries, ReservoirConfig,
-                        SubsystemLayout, Topology, apply_device_noise, basis_state,
+                        SubsystemLayout, Topology, basis_state,
                         build_layer, esn_sweep, fit_linear_baseline,
                         maximally_mixed, measure, plus_state, preset_profile,
                         run_reservoir, sample_bitstrings, split_series,
@@ -16,6 +16,8 @@ from qreservoir import (EXACT, ConfigError, CorruptedStateError, DensityMatrix,
 from qreservoir import engine
 from qreservoir.cli import main
 from qreservoir.engine import _CLIP_TOL
+
+from dense_step import device_step
 
 RNG = np.random.default_rng(42)
 INPUTS_20 = RNG.uniform(0.0, 0.2, size=20)
@@ -122,8 +124,8 @@ def test_initial_state_is_forgotten_within_contraction_horizon():
     dist = []
     for u in rng.uniform(0.0, 0.2, size=140):
         layer = build_layer(float(u), layout, 2.0)
-        a = apply_device_noise(a, profile, layer)
-        b = apply_device_noise(b, profile, layer)
+        a = device_step(a, profile, layer)
+        b = device_step(b, profile, layer)
         dist.append(trace_distance(a, b))
     dist = np.array(dist)
     assert np.all(np.diff(dist) <= 1e-15)

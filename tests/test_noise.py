@@ -4,18 +4,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as hst
+from hypothesis import example, given, settings, strategies as hst
 
 import qreservoir.noise
-from qreservoir import (DensityMatrix, DeviceNoiseProfile, ProfileError,
-                        SubsystemLayout, Topology, amplitude_damping_channel,
+from qreservoir import (CorruptedStateError, DensityMatrix, DeviceNoiseProfile,
+                        ProfileError, ReservoirConfig, SubsystemLayout,
+                        Topology, amplitude_damping_channel,
                         apply_channel, apply_device_noise, apply_layer,
                         basis_state, build_layer, depolarizing_channel,
-                        load_noise_profile, maximally_mixed,
+                        evolve, load_noise_profile, maximally_mixed,
                         phase_damping_channel, plus_state, preset_profile,
                         zero_noise, zz_crosstalk_gate)
 from qreservoir.noise import _noise_plan, _on_pair, _pair_block_superop
 from qreservoir.qstate import _apply_superop_tensor
+
+from dense_step import device_step
 
 PROFILE_DIR = Path(__file__).resolve().parent.parent / "profiles"
 
@@ -243,7 +246,7 @@ def test_device_step_matches_sequential_reference(name, layout):
     rng = np.random.default_rng(8)
     for u in rng.uniform(0, 0.2, size=4):
         layer = build_layer(float(u), layout, 2.0)
-        st_fast = apply_device_noise(st_fast, profile, layer)
+        st_fast = device_step(st_fast, profile, layer)
         st_ref = sequential_step(st_ref, profile, layer)
     assert np.abs(st_fast.matrix - st_ref.matrix).max() < 1e-12
     st_fast.validate()
@@ -269,7 +272,7 @@ def test_device_step_matches_sequential_reference_on_random_profiles(
     layout = SubsystemLayout(4, (tuple(order[:2]), tuple(order[2:])))
     layer = build_layer(u, layout, 2.0)
     state = random_density(4, seed)
-    got = apply_device_noise(state, profile, layer)
+    got = device_step(state, profile, layer)
     want = sequential_step(state, profile, layer)
     assert np.abs(got.matrix - want.matrix).max() < 1e-12
 
@@ -311,7 +314,7 @@ def test_device_step_is_cptp_on_random_profiles(profile, u):
 
     def step(v):
         state = DensityMatrix(2, np.outer(v, v.conj()))
-        return apply_device_noise(state, profile, layer).matrix
+        return device_step(state, profile, layer).matrix
 
     diag = [step(basis[j]) for j in range(d)]
     choi = np.zeros((d, d, d, d), dtype=np.complex128)  # [j, a, k, b]
@@ -331,8 +334,8 @@ def test_device_step_is_cptp_on_random_profiles(profile, u):
 
 
 def test_device_step_validates_its_result(monkeypatch):
-    """The step's output is a checked DensityMatrix: a kernel that breaks the
-    trace makes the step raise instead of returning an invalid state."""
+    """The step checks its result: a kernel that breaks the trace makes the
+    step raise instead of returning an invalid state."""
     kernel = qreservoir.noise._on_every_pair
 
     def doubled(*args):
@@ -340,8 +343,8 @@ def test_device_step_validates_its_result(monkeypatch):
 
     monkeypatch.setattr(qreservoir.noise, "_on_every_pair", doubled)
     layer = build_layer(0.3, SubsystemLayout.default(2), 2.0)
-    with pytest.raises(ValueError, match="trace must be 1"):
-        apply_device_noise(plus_state(2), zero_noise(), layer)
+    with pytest.raises(CorruptedStateError, match="trace must be 1"):
+        device_step(plus_state(2), zero_noise(), layer)
 
 
 @pytest.mark.parametrize("profile", [
@@ -354,7 +357,7 @@ def test_device_step_single_mechanism_profiles(profile):
     layout = SubsystemLayout.default(4)
     layer = build_layer(0.13, layout, 2.0)
     st = random_density(4, 9)
-    got = apply_device_noise(st, profile, layer)
+    got = device_step(st, profile, layer)
     want = sequential_step(st, profile, layer)
     assert np.abs(got.matrix - want.matrix).max() < 1e-12
 
@@ -372,7 +375,7 @@ def test_device_step_scales_pair_parity_by_p1_closed_form(layout, seed):
     layer = build_layer(float(rng.uniform(-1.0, 3.0)), layout, 2.0)
     n = layout.num_qubits
     st = random_density(n, 100 + seed)
-    got = apply_device_noise(st, DeviceNoiseProfile(p1=p1), layer)
+    got = device_step(st, DeviceNoiseProfile(p1=p1), layer)
     x = np.array([[0, 1], [1, 0]])
     for i, j in layout.pairs:
         xx = reduce(np.kron, [x if q in (i, j) else np.eye(2)
@@ -386,17 +389,21 @@ def test_device_step_scales_pair_parity_by_p1_closed_form(layout, seed):
 def test_device_step_zero_profile_reduces_to_the_bare_layer():
     layer = build_layer(0.11, SubsystemLayout.default(4), 2.0)
     st = random_density(4, 10)
-    got = apply_device_noise(st, zero_noise(), layer)
+    got = device_step(st, zero_noise(), layer)
     want = apply_layer(st, layer)
     assert np.abs(got.matrix - want.matrix).max() < 1e-13
 
 
 def test_device_step_size_mismatches():
     layer = build_layer(0.1, SubsystemLayout.default(4), 2.0)
+    v = np.full((16, 16), 1 / 16, dtype=np.complex128)
     with pytest.raises(ProfileError):
-        apply_device_noise(plus_state(4), preset_profile("strong-dense", 8), layer)
+        apply_device_noise(v, np.empty_like(v), preset_profile("strong-dense", 8),
+                           layer)
+    v = np.full(16, 1 / 4, dtype=np.complex128)
     with pytest.raises(ValueError):
-        apply_device_noise(plus_state(2), preset_profile("strong-dense", 2), layer)
+        apply_device_noise(v, np.empty_like(v), preset_profile("strong-dense", 2),
+                           layer)
 
 
 def test_device_step_rejects_crosstalk_edge_outside_the_register():
@@ -406,10 +413,10 @@ def test_device_step_rejects_crosstalk_edge_outside_the_register():
                                  "[topology]\nedges = 0-9\n")
     layer = build_layer(0.1, SubsystemLayout.default(4), 2.0)
     with pytest.raises(ProfileError, match="0-9"):
-        apply_device_noise(plus_state(4), profile, layer)
+        device_step(plus_state(4), profile, layer)
     inside = load_noise_profile("[crosstalk]\ntheta = 0.3\n"
                                 "[topology]\nedges = 0-3\n")
-    apply_device_noise(plus_state(4), inside, layer)
+    device_step(plus_state(4), inside, layer)
 
 
 # ------------------------------ the pair-major step against the naive kernel
@@ -472,7 +479,7 @@ def test_device_step_equals_the_naive_kernel_bit_for_bit(case, u, seed):
     layout, profile = case
     layer = build_layer(u, layout, 2.0)
     state = random_density(layout.num_qubits, seed)
-    got = apply_device_noise(state, profile, layer).matrix
+    got = device_step(state, profile, layer).matrix
     assert np.abs(got - naive_step(state, profile, layer)).max() <= 1e-15
 
 
@@ -487,7 +494,7 @@ def test_shipped_profiles_step_equals_the_naive_kernel_bit_for_bit(name, pairs):
     got = want = plus_state(8)
     for u in np.random.default_rng(11).uniform(-1.0, 1.0, size=3):
         layer = build_layer(float(u), layout, 2.0)
-        got = apply_device_noise(got, profile, layer)
+        got = device_step(got, profile, layer)
         want = DensityMatrix(8, naive_step(want, profile, layer))
         assert np.abs(got.matrix - want.matrix).max() <= 1e-15
 
@@ -501,7 +508,7 @@ def test_two_qubit_step_is_within_rounding_of_the_naive_kernel(case, u, seed):
     layout, profile = case
     layer = build_layer(u, layout, 2.0)
     state = random_density(2, seed)
-    got = apply_device_noise(state, profile, layer).matrix
+    got = device_step(state, profile, layer).matrix
     assert np.abs(got - naive_step(state, profile, layer)).max() <= 1e-15
 
 
@@ -518,7 +525,7 @@ def test_unsymmetrised_step_does_not_drift_over_a_long_trajectory(name, pairs):
     herm = trace = 0.0
     for u in np.random.default_rng(5).uniform(-1.0, 1.0, size=2000):
         layer = build_layer(float(u), layout, 2.0)
-        state = apply_device_noise(state, profile, layer)
+        state = device_step(state, profile, layer)
         m = state.matrix
         herm = max(herm, np.abs(m - m.conj().T).max())
         trace = max(trace, abs(m.trace() - 1.0))
@@ -559,3 +566,118 @@ def test_broadcast_kronecker_products_equal_np_kron_bit_for_bit(
     block = build_layer(u, SubsystemLayout.default(2), scale).block
     assert same_bits(_pair_block_superop(block, gate_noise),
                      kron_pair_block(block, gate_noise))
+
+
+# ------------------------------------------- the carried pair-major trajectory
+
+def parent_device_step(state, profile, layer):
+    """The device step as `evolve` took it before it carried the state: permute
+    the matrix in, one freshly allocated product per pair for the block, the
+    crosstalk phases, one per pair for idle, permute out and wrap."""
+    n = state.num_qubits
+    zz_phases, gate_noise, idle = _noise_plan(profile, n)
+    pairs = layer.layout.pairs
+    m = len(pairs)
+    axes = [a for i, j in pairs for a in (i, j, n + i, n + j)]
+    v = state.matrix.reshape((2,) * (2 * n)).transpose(axes).reshape((16,) * m)
+
+    def on_every_pair(v, sup):
+        for _ in range(v.ndim):
+            v = (sup @ v.reshape(-1, 16).T).reshape(v.shape)
+        return v
+
+    v = on_every_pair(v, _pair_block_superop(layer.block, gate_noise))
+    if zz_phases is not None:
+        qubits = [q for pair in pairs for q in pair]
+        rows = zz_phases.reshape((2,) * n).transpose(qubits).reshape((4,) * m)
+        w = v.reshape((4, 4) * m)
+        w *= rows.reshape((4, 1) * m)
+        w *= rows.conj().reshape((1, 4) * m)
+    if idle is not None:
+        v = on_every_pair(v, idle)
+    matrix = v.reshape((2,) * (2 * n)).transpose(np.argsort(axes))
+    return DensityMatrix(n, matrix.reshape(1 << n, 1 << n))
+
+
+def parent_evolve(inputs, config):
+    """`evolve` on `parent_device_step`: the populations of each step."""
+    state = plus_state(config.layout.num_qubits)
+    rows = []
+    for u in inputs:
+        layer = build_layer(float(u), config.layout, config.scale)
+        state = parent_device_step(state, config.profile, layer)
+        rows.append(state.populations)
+    return np.array(rows)
+
+
+# without idle damping a step makes m products, so at n = 2 and 6 the result
+# lands in the spare buffer
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(case=_pairings_and_profiles((2, 4, 6)),
+       inputs=hst.lists(hst.floats(-1.0, 1.0), min_size=1, max_size=4))
+@example(case=(SubsystemLayout.default(2),
+               DeviceNoiseProfile(p1=0.01, zz_theta=0.3,
+                                  topology=Topology(2, ((0, 1),)))),
+         inputs=[0.3, -0.2, 0.7])
+@example(case=(SubsystemLayout(6, ((5, 0), (2, 4), (1, 3))),
+               DeviceNoiseProfile(p2=0.02)),
+         inputs=[0.3, -0.2, 0.7])
+def test_evolve_carries_the_parent_trajectory_bit_for_bit(case, inputs):
+    layout, profile = case
+    config = ReservoirConfig(layout, 2.0, profile)
+    assert np.array_equal(evolve(inputs, config), parent_evolve(inputs, config))
+
+
+@pytest.mark.parametrize("name", ["strong-dense", "weak-sparse"])
+@pytest.mark.parametrize("pairs", [((0, 1), (2, 3), (4, 5), (6, 7)),
+                                   ((1, 0), (3, 2), (5, 4), (7, 6)),
+                                   ((0, 4), (5, 1), (2, 7), (3, 6))],
+                         ids=["adjacent", "reversed", "non-adjacent"])
+def test_shipped_profiles_carried_trajectory_is_the_parent_one(name, pairs):
+    config = ReservoirConfig(SubsystemLayout(8, pairs), 2.0,
+                             preset_profile(name, 8))
+    inputs = np.random.default_rng(12).uniform(-1.0, 1.0, size=5)
+    assert np.array_equal(evolve(inputs, config), parent_evolve(inputs, config))
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+@pytest.mark.parametrize("profile", [DeviceNoiseProfile(p1=0.01),
+                                     DeviceNoiseProfile(gamma_idle=0.01)],
+                         ids=["no-idle", "idle"])
+def test_product_count_parity_decides_which_buffer_holds_the_step(n, profile):
+    layer = build_layer(0.4, SubsystemLayout.default(n), 2.0)
+    v = np.full((16,) * (n // 2), 1.0 / (1 << n), dtype=np.complex128)
+    spare = np.empty_like(v)
+    state, free = apply_device_noise(v, spare, profile, layer)
+    products = n // 2 * (2 if profile.gamma_idle else 1)
+    held, other = (spare, v) if products % 2 else (v, spare)
+    assert state is held and free is other
+
+
+def _doubled(result):
+    return 2 * result
+
+
+def _skewed(result):
+    result.flat[1] += 1e-6  # an off-diagonal entry of the last pair axis
+    return result
+
+
+def _poisoned(result):
+    result.flat[0] = np.nan
+    return result
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_doubled, "trace must be 1"),
+    (_skewed, "not Hermitian"),
+    (_poisoned, "not Hermitian: .* = nan"),
+], ids=["trace", "hermiticity", "nan"])
+def test_corrupted_step_stops_the_trajectory(monkeypatch, corrupt, message):
+    kernel = qreservoir.noise._on_every_pair
+    monkeypatch.setattr(qreservoir.noise, "_on_every_pair",
+                        lambda *args: corrupt(kernel(*args)))
+    config = ReservoirConfig(SubsystemLayout.default(4), 2.0,
+                             preset_profile("strong-dense", 4))
+    with pytest.raises(CorruptedStateError, match=message):
+        evolve([0.1, 0.2], config)

@@ -3,9 +3,11 @@ import numpy as np
 import pytest
 
 from qreservoir import (CapacityError, DensityMatrix, InvalidChannelError,
-                        KrausChannel, apply_channel, basis_state,
-                        maximally_mixed, pauli_z_expectations, plus_state,
-                        trace_distance)
+                        KrausChannel, ReservoirConfig, SubsystemLayout,
+                        apply_channel, basis_state, evolve, maximally_mixed,
+                        pauli_z_expectations, plus_state, trace_distance)
+from qreservoir import qstate
+from qreservoir.qstate import check_capacity
 
 
 def random_density(n, seed):
@@ -188,3 +190,14 @@ def test_trace_distance_metric_properties():
     assert trace_distance(basis_state(1, 0), basis_state(1, 1)) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         trace_distance(plus_state(1), plus_state(2))
+
+
+def test_capacity_counts_a_trajectory_against_physical_memory(monkeypatch):
+    # a trajectory holds 2.5 matrices of 16 * 4^n bytes: 163840 bytes at n = 6
+    monkeypatch.setattr(qstate, "_physical_memory", lambda: 163840)
+    check_capacity(6)
+    plus_state(6)
+    with pytest.raises(CapacityError, match="physical memory"):
+        check_capacity(7)
+    with pytest.raises(CapacityError, match="physical memory"):
+        evolve([0.1], ReservoirConfig(SubsystemLayout.default(8), 2.0))
