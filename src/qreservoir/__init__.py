@@ -15,7 +15,7 @@ from .qstate import (MAX_QUBITS, DensityMatrix, KrausChannel, apply_channel,
                      basis_state, maximally_mixed, pauli_z_expectations,
                      plus_state, trace_distance)
 from .circuit import (CircuitLayer, SubsystemLayout, apply_layer, build_layer,
-                      cx_gate, export_qasm, hadamard_gate, rx_gate, rz_gate)
+                      cx_gate, export_qasm, rx_gate, rz_gate)
 from .noise import (DeviceNoiseProfile, Topology, amplitude_damping_channel,
                     apply_device_noise, depolarizing_channel,
                     load_noise_profile, phase_damping_channel, preset_profile,
@@ -29,9 +29,9 @@ from .readout import (ClassPrediction, CvReport, LinearBaselineResult,
 from .benchmarks import (DEFAULT_NODE_COUNTS, DEFAULT_RADIUS_GRID,
                          REFERENCE_T_START, EsnNodeResult, EsnSweepReport,
                          InputSignalSpec, LabeledSeriesDataset, NarmaSpec,
-                         class_mean_waveform, esn_step, esn_sweep, gen_input,
+                         class_mean_waveform, esn_sweep, gen_input,
                          gen_narma, gen_synthetic_sensor, input_signal_value,
-                         narma_task, preprocess_diff, run_esn)
+                         narma_task, preprocess_diff)
 from .analysis import (ChannelGap, StationarityReport, gap_summary,
                        stationarity_report)
 
@@ -46,7 +46,7 @@ __all__ = [
     "pauli_z_expectations", "trace_distance",
     # circuit ansatz
     "SubsystemLayout", "CircuitLayer", "rx_gate", "rz_gate", "cx_gate",
-    "hadamard_gate", "build_layer", "apply_layer", "export_qasm",
+    "build_layer", "apply_layer", "export_qasm",
     # device noise
     "Topology", "DeviceNoiseProfile", "zero_noise", "depolarizing_channel",
     "amplitude_damping_channel", "phase_damping_channel", "zz_crosstalk_gate",
@@ -63,7 +63,7 @@ __all__ = [
     "REFERENCE_T_START", "NarmaSpec", "gen_narma",
     "narma_task", "preprocess_diff", "LabeledSeriesDataset",
     "gen_synthetic_sensor", "class_mean_waveform",
-    "esn_step", "run_esn", "esn_sweep", "EsnSweepReport", "EsnNodeResult",
+    "esn_sweep", "EsnSweepReport", "EsnNodeResult",
     "DEFAULT_NODE_COUNTS", "DEFAULT_RADIUS_GRID",
     # analysis
     "StationarityReport", "stationarity_report", "ChannelGap", "gap_summary",

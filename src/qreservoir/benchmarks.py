@@ -179,28 +179,6 @@ def _draw_esn(rng, nodes: int, style: str):
     return w, w_in
 
 
-def esn_step(x, u, w, w_in) -> np.ndarray:
-    """x_{t} = tanh(W^T x_{t-1} + W_in * u_t)."""
-    x = np.asarray(x, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    w_in = np.asarray(w_in, dtype=np.float64)
-    if w.shape != (x.size, x.size) or w_in.shape != x.shape:
-        raise ValueError(
-            f"shape mismatch: x {x.shape}, W {w.shape}, W_in {w_in.shape}")
-    return np.tanh(w.T @ x + w_in * float(u))
-
-
-def run_esn(inputs, w, w_in) -> np.ndarray:
-    """State rows x_1..x_M from x_0 = 0."""
-    u = np.asarray(inputs, dtype=np.float64)
-    x = np.zeros(w_in.shape[0] if hasattr(w_in, "shape") else len(w_in))
-    out = np.empty((u.size, x.size))
-    for t in range(u.size):
-        x = esn_step(x, u[t], w, w_in)
-        out[t] = x
-    return out
-
-
 def radius_grid(lo: float, hi: float, step: float) -> tuple:
     """Radii lo, lo + step, ..., hi; ConfigError unless 0 < lo <= hi and 0 < step
     are finite and hi - lo is a whole number of steps."""

@@ -20,8 +20,6 @@ _CX_MATRIX = np.array(
      [0, 0, 0, 1],
      [0, 0, 1, 0]], dtype=np.complex128)
 
-_H_MATRIX = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
-
 # The pair block in order: (gate, pair positions), 0 standing for i, 1 for j.
 PAIR_BLOCK = (("rx", (0,)), ("rx", (1,)), ("cx", (0, 1)), ("rz", (1,)),
               ("cx", (0, 1)))
@@ -49,10 +47,6 @@ def rz_gate(qubit: int, angle: float) -> KrausChannel:
 
 def cx_gate(control: int, target: int) -> KrausChannel:
     return KrausChannel((control, target), (_CX_MATRIX,))
-
-
-def hadamard_gate(qubit: int) -> KrausChannel:
-    return KrausChannel((qubit,), (_H_MATRIX,))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import numpy as np
 from .circuit import SubsystemLayout, build_layer
 from .errors import ConfigError, CorruptedStateError
 from .noise import (DeviceNoiseProfile, apply_device_noise,
-                    pair_major_populations, zero_noise)
+                    idle_damped_populations, zero_noise)
 from .qstate import check_capacity, pauli_z_expectations, population_qubits
 
 EXACT = "exact"
@@ -149,8 +149,11 @@ def evolve(inputs, config: ReservoirConfig) -> np.ndarray:
     trajectory depends only on the inputs, layout, scale and profile.
 
     The state is carried pair-major (see `noise.apply_device_noise`) in two
-    reused buffers from step to step, and only its diagonal leaves; every
-    step's result is checked, so a corrupted step raises CorruptedStateError.
+    reused buffers from step to step, as rho_t before its idle damping: each
+    step folds the idle it owes into its pair block, and each row is the
+    diagonal after the idle, read in closed form. Only the diagonal leaves;
+    every step's result is checked, so a corrupted step raises
+    CorruptedStateError.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 1 or inputs.size < 1 or not np.isfinite(inputs).all():
@@ -165,8 +168,10 @@ def evolve(inputs, config: ReservoirConfig) -> np.ndarray:
     populations = np.empty((inputs.size, 1 << n))
     for t, u in enumerate(inputs):
         layer = build_layer(float(u), layout, config.scale)
-        state, spare = apply_device_noise(state, spare, config.profile, layer)
-        populations[t].reshape((2,) * n)[...] = pair_major_populations(state, layout)
+        state, spare = apply_device_noise(state, spare, config.profile, layer,
+                                          t > 0)
+        populations[t].reshape((2,) * n)[...] = idle_damped_populations(
+            state, config.profile, layout)
     return populations
 
 

@@ -1,9 +1,11 @@
-"""The device step on a `DensityMatrix`, for tests that hold one step to an
-oracle: permute the matrix into the pair-major axes that
-`apply_device_noise` carries, take one step, permute back and wrap."""
+"""The full device step on a `DensityMatrix`, for tests that hold one step to
+an oracle: permute the matrix into the pair-major axes that
+`apply_device_noise` carries, take one step that owes no idle, apply the idle
+damping on every pair, permute back and wrap."""
 import numpy as np
 
 from qreservoir import DensityMatrix, apply_device_noise
+from qreservoir.noise import _on_every_pair, _step_plan
 
 
 def pair_axes(layout):
@@ -21,6 +23,9 @@ def device_step(state, profile, layer):
     axes = pair_axes(layout)
     v = state.matrix.reshape((2,) * (2 * n)).transpose(axes).copy()
     v = v.reshape((16,) * layout.num_pairs)
-    v, _ = apply_device_noise(v, np.empty_like(v), profile, layer)
+    v, spare = apply_device_noise(v, np.empty_like(v), profile, layer, False)
+    idle = _step_plan(profile, layout)[1]
+    if idle is not None:
+        v = _on_every_pair(v, spare, idle)
     matrix = v.reshape((2,) * (2 * n)).transpose(np.argsort(axes))
     return DensityMatrix(n, matrix.reshape(1 << n, 1 << n))

@@ -4,10 +4,10 @@ import pytest
 
 from qreservoir import (DEFAULT_RADIUS_GRID, REFERENCE_T_START, ConfigError,
                         DivergenceError, InputSignalSpec, LabeledSeriesDataset,
-                        NarmaSpec, class_mean_waveform, esn_step, esn_sweep,
+                        NarmaSpec, class_mean_waveform, esn_sweep,
                         fit_regression, gen_input, gen_narma,
                         gen_synthetic_sensor, input_signal_value, narma_task,
-                        nmse, predict, preprocess_diff, run_esn)
+                        nmse, predict, preprocess_diff)
 from qreservoir import benchmarks
 from qreservoir.benchmarks import radius_grid
 
@@ -139,6 +139,29 @@ def test_labeled_dataset_validation():
         LabeledSeriesDataset(np.zeros((2, 5)), [-1, 1], 2)
     with pytest.raises(ValueError, match="labels must be integers"):
         LabeledSeriesDataset(np.zeros((2, 5)), [0, 0.5], 2)
+
+
+def esn_step(x, u, w, w_in) -> np.ndarray:
+    """The sequential ESN oracle for `esn_sweep`: x_t = tanh(W^T x_{t-1} +
+    W_in * u_t)."""
+    x = np.asarray(x, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    w_in = np.asarray(w_in, dtype=np.float64)
+    if w.shape != (x.size, x.size) or w_in.shape != x.shape:
+        raise ValueError(
+            f"shape mismatch: x {x.shape}, W {w.shape}, W_in {w_in.shape}")
+    return np.tanh(w.T @ x + w_in * float(u))
+
+
+def run_esn(inputs, w, w_in) -> np.ndarray:
+    """`esn_step` from x_0 = 0: the state rows x_1..x_M."""
+    u = np.asarray(inputs, dtype=np.float64)
+    x = np.zeros(len(w_in))
+    out = np.empty((u.size, x.size))
+    for t in range(u.size):
+        x = esn_step(x, u[t], w, w_in)
+        out[t] = x
+    return out
 
 
 def test_esn_step_hand_check():

@@ -4,13 +4,19 @@ import re
 import numpy as np
 import pytest
 
-from qreservoir import (CircuitLayer, SubsystemLayout, apply_channel, apply_layer,
-                        basis_state, build_layer, cx_gate, export_qasm,
-                        hadamard_gate, pauli_z_expectations, plus_state, rx_gate,
-                        rz_gate)
+from qreservoir import (CircuitLayer, KrausChannel, SubsystemLayout,
+                        apply_channel, apply_layer, basis_state, build_layer,
+                        cx_gate, export_qasm, pauli_z_expectations, plus_state,
+                        rx_gate, rz_gate)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def hadamard_gate(qubit):
+    """The `h` of an exported program as a one-qubit gate."""
+    h = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
+    return KrausChannel((qubit,), (h,))
 
 
 def test_rx_matches_matrix_exponential():

@@ -1,4 +1,9 @@
 """State/gate/channel algebra against naive full-matrix oracles."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -201,3 +206,44 @@ def test_capacity_counts_a_trajectory_against_physical_memory(monkeypatch):
         check_capacity(7)
     with pytest.raises(CapacityError, match="physical memory"):
         evolve([0.1], ReservoirConfig(SubsystemLayout.default(8), 2.0))
+
+
+# A fresh interpreter measures its own peak resident set: VmHWM, the high
+# water mark of its address space, which starts afresh at exec. (Its
+# ru_maxrss would not do: on Linux it keeps the parent's peak across exec, so
+# a child of this test process starts at this process's peak.) One n = 2 run
+# first pays the one-time costs (lazy imports, the BLAS buffers, about
+# 1.3 MiB); the growth of the peak over 3 steps at n = 10 is then the
+# trajectory's footprint.
+_FOOTPRINT_PROBE = """
+from qreservoir import ReservoirConfig, SubsystemLayout, evolve, preset_profile
+from qreservoir.qstate import TRAJECTORY_FOOTPRINT
+def peak():
+    with open("/proc/self/status") as status:
+        line = next(x for x in status if x.startswith("VmHWM:"))
+    return int(line.split()[1]) * 1024
+def run(n, steps):
+    config = ReservoirConfig(SubsystemLayout.default(n), 2.0,
+                             preset_profile("strong-dense", n))
+    evolve([0.3, -0.2, 0.7][:steps], config)
+run(2, 1)
+before = peak()
+run(10, 3)
+print(peak() - before, TRAJECTORY_FOOTPRINT * 16 * 4 ** 10)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="needs the Linux per-process status file")
+def test_trajectory_footprint_estimate_matches_measured_peak_rss():
+    # measured 40.1-40.2 MiB against the estimate's 40.0 MiB: the excess is
+    # the per-profile caches (the crosstalk factors are 2 x 64 KiB at n = 10),
+    # which do not grow with 4^n. The 5% slack is 2 MiB.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    growth, estimate = map(float, proc.stdout.split())
+    assert 0.95 * estimate <= growth <= 1.05 * estimate
