@@ -4,7 +4,12 @@ sweep statistics.
 """
 from __future__ import annotations
 
+import ctypes
+import glob
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -258,6 +263,53 @@ def _sweep_data(inputs, targets):
 DESIGN_BUDGET = 1 << 16
 
 
+# (get, set) thread-count symbol pairs of numpy's bundled OpenBLAS: the
+# scipy-openblas 64-bit-integer build's names, then plain OpenBLAS's.
+_OPENBLAS_THREAD_CALLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@lru_cache(maxsize=None)
+def _openblas_threads():
+    """(get, set) thread-count calls of the OpenBLAS in numpy.libs, or None
+    when numpy bundles no OpenBLAS that exports them. Looked up once."""
+    libdir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                          "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libdir, "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_CALLS:
+            get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body on one OpenBLAS thread, then restore the previous count,
+    also when the body raises; a no-op when `_openblas_threads` finds none.
+    The batched ESN SVDs gain no wall time from a second thread, which only
+    spins, and two such processes on as many cores collapse."""
+    calls = _openblas_threads()
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 def _chunk_nmse(ws, wins, scale, u, ys, tr, te, energy) -> np.ndarray:
     """NMSE of each target row over one radius chunk, shape (targets, radii,
     trials): reservoir (r, b) is trial b's W rescaled by scale[r, b], and all
@@ -300,6 +352,11 @@ def esn_sweep(inputs, targets, split, node_counts=DEFAULT_NODE_COUNTS,
     radii x trials reservoirs as one batch and takes one pseudoinverse for
     every target, with the same per-cell arithmetic as a radius at a time,
     so the NMSEs do not depend on the chunk size.
+
+    The grid (spectral radii, recurrences and pseudoinverses) runs on one
+    thread of numpy's bundled OpenBLAS, and the previous thread count is
+    restored on return or error; where no such library is found the thread
+    count is left alone. The NMSEs are the same either way.
     """
     u, targets = _sweep_data(inputs, targets)
     ys = np.atleast_2d(targets)
@@ -313,29 +370,30 @@ def esn_sweep(inputs, targets, split, node_counts=DEFAULT_NODE_COUNTS,
         raise ConfigError("a target is zero over the whole test window")
     rs = np.array(radii, dtype=np.float64)
     results = [[] for _ in ys]
-    for nodes in node_counts:
-        ws = np.empty((trials, nodes, nodes))
-        wins = np.empty((trials, nodes))
-        for b in range(trials):
-            rng = np.random.default_rng([seed, nodes, b])
-            ws[b], wins[b] = _draw_esn(rng, nodes, input_weight_style)
-        sr = np.abs(np.linalg.eigvals(ws)).max(axis=1)
-        chunk = max(1, DESIGN_BUDGET // (trials * m * (nodes + 1)))
-        nmse_grid = np.concatenate([
-            _chunk_nmse(ws, wins, rs[r0:r0 + chunk, None] / sr, u, ys, tr, te,
-                        energy)
-            for r0 in range(0, rs.size, chunk)], axis=1)
-        for k, grid in enumerate(nmse_grid):
-            per_radius = grid.mean(axis=1)
-            best = int(per_radius.argmin())
-            results[k].append(EsnNodeResult(
-                nodes=int(nodes),
-                global_average=float(grid.mean()),
-                global_minimum=float(per_radius[best]),
-                best_radius=float(radii[best]),
-                per_radius_mean=per_radius,
-                nmse=grid,
-            ))
+    with _one_blas_thread():
+        for nodes in node_counts:
+            ws = np.empty((trials, nodes, nodes))
+            wins = np.empty((trials, nodes))
+            for b in range(trials):
+                rng = np.random.default_rng([seed, nodes, b])
+                ws[b], wins[b] = _draw_esn(rng, nodes, input_weight_style)
+            sr = np.abs(np.linalg.eigvals(ws)).max(axis=1)
+            chunk = max(1, DESIGN_BUDGET // (trials * m * (nodes + 1)))
+            nmse_grid = np.concatenate([
+                _chunk_nmse(ws, wins, rs[r0:r0 + chunk, None] / sr, u, ys, tr, te,
+                            energy)
+                for r0 in range(0, rs.size, chunk)], axis=1)
+            for k, grid in enumerate(nmse_grid):
+                per_radius = grid.mean(axis=1)
+                best = int(per_radius.argmin())
+                results[k].append(EsnNodeResult(
+                    nodes=int(nodes),
+                    global_average=float(grid.mean()),
+                    global_minimum=float(per_radius[best]),
+                    best_radius=float(radii[best]),
+                    per_radius_mean=per_radius,
+                    nmse=grid,
+                ))
     reports = tuple(EsnSweepReport(tuple(float(r) for r in radii), trials,
                                    input_weight_style, tuple(res))
                     for res in results)

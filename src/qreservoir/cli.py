@@ -31,6 +31,11 @@ from .readout import (fit_classifier, fit_linear_baseline, fit_regression,
                       k_fold_cv, nmse, predict, predict_class)
 
 _NARMA_ORDERS = {"narma2": 2, "narma5": 5, "narma10": 10}
+_LEARNING_TASKS = (*_NARMA_ORDERS, "classify")
+NULL_RUN_WARNING = (
+    "warning: the noise profile has gamma_idle = 0, so the features carry no "
+    "information (without idle damping the pair X-parity is conserved: the "
+    "parity null result) and the readout trains only a bias")
 
 
 def derive_seed(*parts) -> int:
@@ -478,7 +483,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            print(run_experiment(_load_config_from_args(args)))
+            config = _load_config_from_args(args)
+            if config.task in _LEARNING_TASKS and config.profile.gamma_idle == 0:
+                print(NULL_RUN_WARNING, file=sys.stderr)
+            print(run_experiment(config))
         elif args.command == "export-qasm":
             config = _load_config_from_args(args)
             for path in export_circuits(

@@ -1,4 +1,6 @@
 """Benchmark generators and the echo-state-network baseline."""
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -334,3 +336,71 @@ def test_radius_grid_pins_the_default_and_rejects_bad_grids():
                          (0.1, 1.0, 0.25)):
         with pytest.raises(ConfigError, match="radius grid"):
             radius_grid(lo, hi, step)
+
+
+# ------------------------------------------ the ESN grid on one BLAS thread
+
+OPENBLAS = benchmarks._openblas_threads()
+
+
+@pytest.fixture
+def blas_threads():
+    """Reads the thread count of numpy's OpenBLAS, set to 2 for the test so a
+    one-thread region shows; the count before the test is restored after."""
+    if OPENBLAS is None:
+        pytest.skip("numpy bundles no OpenBLAS with thread-count calls")
+    get, put = OPENBLAS
+    before = get()
+    put(2)
+    yield get
+    put(before)
+
+
+def _recording_chunks(monkeypatch, get, seen, fail=False):
+    """Wrap `_chunk_nmse` to append the thread count of each call to `seen`."""
+    chunk = benchmarks._chunk_nmse
+
+    def recording(*args):
+        seen.append(get())
+        if fail:
+            raise RuntimeError("chunk failed")
+        return chunk(*args)
+
+    monkeypatch.setattr(benchmarks, "_chunk_nmse", recording)
+
+
+def test_openblas_lookup_succeeds_where_numpy_bundles_scipy_openblas():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if blas.get("name") != "scipy-openblas":
+        pytest.skip(f"numpy is built against {blas.get('name')!r}")
+    assert OPENBLAS is not None
+
+
+def test_esn_sweep_one_thread_grid_equals_the_default_threads(monkeypatch,
+                                                              blas_threads):
+    # at 50 nodes the (70, 51) training designs are large enough that
+    # OpenBLAS threads their SVDs; with the lookup "not found" the grid runs
+    # on the 2 threads set by the fixture
+    u, y = narma_task(2)
+    grid = dict(node_counts=(2, 50), radii=(0.3, 0.6, 0.9), trials=10)
+    seen = []
+    _recording_chunks(monkeypatch, blas_threads, seen)
+    one = esn_sweep(u, y, (10, 70, 20), **grid)
+    assert seen and set(seen) == {1}
+    seen.clear()
+    monkeypatch.setattr(benchmarks, "_openblas_threads", lambda: None)
+    default = esn_sweep(u, y, (10, 70, 20), **grid)
+    assert seen and set(seen) == {2}
+    for a, b in zip(one.results, default.results):
+        assert np.array_equal(a.nmse, b.nmse)
+
+
+@pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
+def test_esn_sweep_restores_the_thread_count(monkeypatch, blas_threads, fail):
+    u, y = narma_task(2, length=50)
+    seen = []
+    _recording_chunks(monkeypatch, blas_threads, seen, fail)
+    with pytest.raises(RuntimeError, match="chunk failed") if fail else nullcontext():
+        esn_sweep(u, y, (5, 30, 15), node_counts=(2, 3), radii=(0.5,), trials=2)
+    assert seen == ([1] if fail else [1, 1])
+    assert blas_threads() == 2

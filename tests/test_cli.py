@@ -11,8 +11,9 @@ import pytest
 from qreservoir import (CapacityError, ConfigError, FeatureSeries,
                         InputSignalSpec, ProfileError, REFERENCE_T_START,
                         engine, gen_input, load_noise_profile, qstate)
-from qreservoir.cli import (ExperimentConfig, TASKS, derive_seed,
-                            export_circuits, main, parse_config, run_experiment)
+from qreservoir.cli import (NULL_RUN_WARNING, ExperimentConfig, TASKS,
+                            derive_seed, export_circuits, main, parse_config,
+                            run_experiment)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -528,6 +529,33 @@ def test_negative_seed_fails_before_any_output(tmp_path, capsys):
                  "--seed", "-3", "--output-dir", str(out)]) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("task, profile, sections", [
+    ("narma2", "", "[split]\nwashout = 4\ntrain = 20\ntest = 6\n"
+     "[input]\nlength = 30\n"),
+    ("classify", "[gates]\np1 = 0.01\np2 = 0.02\n",
+     "[classify]\nsamples_per_class = 3\ntimesteps = 20\nfolds = 3\n"
+     "washout = 5\n"),
+], ids=["narma-zero-noise", "classify-gates-only"])
+def test_main_run_warns_once_on_a_null_run(tmp_path, capsys, task, profile,
+                                           sections):
+    # without idle damping every exact Z feature is 0: a warning, not an error
+    (tmp_path / "undamped.ini").write_text(profile)
+    path = tmp_path / "null.ini"
+    path.write_text(f"[experiment]\ntask = {task}\n[reservoir]\nnum_qubits = 2\n"
+                    f"shots = exact\nprofile = undamped.ini\n{sections}")
+    assert main(["run", "--config", str(path),
+                 "--output-dir", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == NULL_RUN_WARNING + "\n"
+    run_experiment(replace(parse_config(path), output_dir=str(tmp_path / "again")))
+    assert capsys.readouterr().err == ""
+
+
+def test_main_run_does_not_warn_on_a_shipped_noisy_config(tmp_path, capsys):
+    assert main(["run", "--config", str(ROOT / "configs" / "narma2_demo.ini"),
+                 "--output-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_readme_command_line_names_exactly_the_subcommands(capsys):
