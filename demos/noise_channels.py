@@ -48,16 +48,17 @@ edges = 0-1, 1-2, 2-3, 0-2, 1-3
 """)
 print("\nloaded profile:", profile)
 
-# the step carries the state pair-major: one (r_i, r_j, c_i, c_j) axis of 16
-# per pair, in layout order, and a second buffer that it overwrites. It leaves
+# the step carries a batch of states, each pair-major: one (r_i, r_j, c_i,
+# c_j) axis of 16 per pair, in layout order, behind the batch axis, and a
+# second buffer that it overwrites. It leaves
 # rho before its idle damping (a trajectory folds that idle into the next
 # step's pair block), so a full step ends with the damping on every qubit.
 layout = SubsystemLayout.default(4)
 layer = build_layer(0.15, layout, 2.0)
 axes = [a for i, j in layout.pairs for a in (i, j, 4 + i, 4 + j)]
 v = plus_state(4).matrix.reshape((2,) * 8).transpose(axes).copy()
-v = v.reshape((16,) * layout.num_pairs)
-v, _ = apply_device_noise(v, np.empty_like(v), profile, layer, False)
+v = v.reshape((1,) + (16,) * layout.num_pairs)  # a batch of one state
+v, _ = apply_device_noise(v, np.empty_like(v), profile, [layer], False)
 rho = v.reshape((2,) * 8).transpose(np.argsort(axes)).reshape(16, 16)
 state = DensityMatrix(4, rho)
 for q in range(4):

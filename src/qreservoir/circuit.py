@@ -96,7 +96,8 @@ class CircuitLayer:
         (single-qubit gates as 2x2, CX as 4x4)."""
         s = self.scale * self.input_value
         mats = {"rx": _rx_matrix(s), "rz": _rz_matrix(s), "cx": _CX_MATRIX}
-        return tuple((pos, mats[name]) for name, pos in PAIR_BLOCK)
+        # from a list: a tuple(generator) is resized, which fills a free list
+        return tuple([(pos, mats[name]) for name, pos in PAIR_BLOCK])
 
     @cached_property
     def gates(self) -> tuple:

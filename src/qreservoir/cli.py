@@ -312,11 +312,14 @@ def _run_classify(config: ExperimentConfig, out: str) -> dict:
     shared = {}  # samples with identical inputs share one evolution
     for i, u in enumerate(inputs):
         shared.setdefault(u.tobytes(), []).append(i)
+    groups = list(shared.values())
+    seeds = [[derive_seed(config.seed, 2, i) for i in g] for g in groups]
+    # every sample has timesteps - 1 inputs: one batch evolves them all
+    feats = run_reservoir([inputs[g[0]] for g in groups],
+                          config.reservoir(seeds[0][0]), seeds)
     blocks = [None] * len(inputs)  # QR features per sample, after the washout
-    for members in shared.values():
-        seeds = [derive_seed(config.seed, 2, i) for i in members]
-        feats = run_reservoir(inputs[members[0]], config.reservoir(seeds[0]), seeds)
-        for i, f in zip(members, feats):
+    for members, group in zip(groups, feats):
+        for i, f in zip(members, group):
             blocks[i] = f.values[config.class_washout:]
     labels = dataset.labels
 

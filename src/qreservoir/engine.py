@@ -14,7 +14,8 @@ from .circuit import SubsystemLayout, build_layer
 from .errors import ConfigError, CorruptedStateError
 from .noise import (DeviceNoiseProfile, apply_device_noise,
                     idle_damped_populations, zero_noise)
-from .qstate import check_capacity, pauli_z_expectations, population_qubits
+from .qstate import (batch_size, check_capacity, pauli_z_expectations,
+                     population_qubits)
 
 EXACT = "exact"
 
@@ -107,7 +108,8 @@ def sample_bitstrings(populations, shots: int, readout_flip,
     time from qubit 0: given the bits already read as `index`, qubit i reads 1
     exactly when `cdf[index + 2**(n-1-i) - 1] <= u`, that is, when `choice`'s
     index is at least `index + 2**(n-1-i)`. A bit flips when its draw falls
-    below r01 for a 0 and r10 for a 1.
+    below r01 for a 0 and r10 for a 1: `low ^ ((low ^ high) & bit)` selects
+    `low = draw < r01` or `high = draw < r10`, never interpolating.
     """
     shots = _shot_count(shots)
     probs = np.array(populations, dtype=np.float64)
@@ -128,51 +130,65 @@ def sample_bitstrings(populations, shots: int, readout_flip,
     cdf /= cdf[-1]
     u = rng.random(shots)
     columns = np.empty((n, shots), dtype=np.uint8)  # row i: qubit i's bits
-    index = np.zeros(shots, dtype=np.intp)
+    bits = columns.view(np.bool_)
+    index = 0  # one basis index for every shot until qubit 0 is read
     for i in range(n):
         half = 1 << (n - 1 - i)
-        bit = cdf.take(index + (half - 1)) <= u
-        index += half * bit
-        columns[i] = bit
+        np.less_equal(cdf.take(index + (half - 1)), u, out=bits[i])
+        if half > 1:
+            index += half * bits[i]
+    del u, index  # the flips below reuse their memory
     r01, r10 = readout_flip
     if r01 > 0.0 or r10 > 0.0:
-        draws = rng.random((shots, n)).T
-        threshold = np.array([r01, r10])  # selects, never interpolates
-        for i in range(n):
-            columns[i] ^= draws[i] < threshold.take(columns[i])
+        draws = rng.random((shots, n))  # compared, then copied into rows
+        low, high = [(draws < r).T.copy() for r in (r01, r10)]
+        del draws
+        bits ^= low ^ ((low ^ high) & bits)
     return columns.T  # Fortran order: a per-qubit count reads contiguous rows
 
 
 def evolve(inputs, config: ReservoirConfig) -> np.ndarray:
     """Evolve rho_0 = |+><+|^n through one noisy layer per input; returns the
     populations diag(rho_t) after each step, shape (timesteps, 2^n). The
-    trajectory depends only on the inputs, layout, scale and profile.
+    trajectory depends only on the inputs, layout, scale and profile. A
+    (B, timesteps) stack gives shape (B, timesteps, 2^n), row b bit for bit
+    what `evolve(inputs[b], config)` gives; `qstate.batch_size(n)` rows are
+    evolved at a time.
 
-    The state is carried pair-major (see `noise.apply_device_noise`) in two
+    The states are carried pair-major (see `noise.apply_device_noise`) in two
     reused buffers from step to step, as rho_t before its idle damping: each
     step folds the idle it owes into its pair block, and each row is the
     diagonal after the idle, read in closed form. Only the diagonal leaves;
-    every step's result is checked, so a corrupted step raises
-    CorruptedStateError.
+    every step's result is checked, so a corrupted step (trace, Hermiticity
+    or a negative population) raises CorruptedStateError.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 1 or inputs.size < 1 or not np.isfinite(inputs).all():
-        raise ConfigError(f"need a 1-d, non-empty, finite input sequence, "
-                          f"got shape {inputs.shape}")
+    if (inputs.ndim not in (1, 2) or inputs.size < 1
+            or not np.isfinite(inputs).all()):
+        raise ConfigError(f"need a 1-d, non-empty, finite input sequence or a "
+                          f"(B, T) stack of them, got shape {inputs.shape}")
     layout = config.layout
     n = layout.num_qubits
     check_capacity(n)
-    # |+><+|^n has every entry 1/2^n, so it is already pair-major
-    state = np.full((16,) * layout.num_pairs, 1.0 / (1 << n), dtype=np.complex128)
-    spare = np.empty_like(state)
-    populations = np.empty((inputs.size, 1 << n))
-    for t, u in enumerate(inputs):
-        layer = build_layer(float(u), layout, config.scale)
-        state, spare = apply_device_noise(state, spare, config.profile, layer,
-                                          t > 0)
-        populations[t].reshape((2,) * n)[...] = idle_damped_populations(
-            state, config.profile, layout)
-    return populations
+    stack = inputs.reshape(-1, inputs.shape[-1])
+    shape = (min(len(stack), batch_size(n)),) + (16,) * layout.num_pairs
+    buffers = np.empty(shape, dtype=np.complex128), np.empty(shape, np.complex128)
+    populations = np.empty(stack.shape + (2,) * n)
+    for b in range(0, len(stack), shape[0]):
+        rows = stack[b:b + shape[0]]
+        # |+><+|^n has every entry 1/2^n, so it is already pair-major
+        state, spare = (buffer[:len(rows)] for buffer in buffers)
+        state.fill(1.0 / (1 << n))
+        for t, column in enumerate(rows.T):
+            layers = [build_layer(float(u), layout, config.scale) for u in column]
+            state, spare = apply_device_noise(state, spare, config.profile,
+                                              layers, t > 0)
+            diagonal = idle_damped_populations(state, config.profile, layout)
+            if diagonal.min() < -_CLIP_TOL:
+                raise CorruptedStateError(f"population {diagonal.min():.3e} "
+                                          f"is negative beyond tolerance")
+            populations[b:b + len(rows), t] = diagonal
+    return populations.reshape(inputs.shape + (1 << n,))
 
 
 def measure(populations, config: ReservoirConfig) -> FeatureSeries:
@@ -201,8 +217,18 @@ def run_reservoir(inputs, config: ReservoirConfig, seeds=None):
     and returns one FeatureSeries per seed, each measured as
     `replace(config, seed=seed)` would be; exact features never read the
     seed, so exact mode measures once and returns that series for every seed.
+    A (B, T) stack of inputs is evolved as one batch and gives a list of B
+    such results, row b's measured with the seeds `seeds[b]`.
     """
     populations = evolve(inputs, config)
+    if populations.ndim == 2:
+        return _measure_seeds(populations, config, seeds)
+    seeds = [None] * len(populations) if seeds is None else seeds
+    return [_measure_seeds(rows, config, row_seeds)
+            for rows, row_seeds in zip(populations, seeds, strict=True)]
+
+
+def _measure_seeds(populations, config: ReservoirConfig, seeds):
     if seeds is None:
         return measure(populations, config)
     if config.exact:

@@ -14,11 +14,12 @@ from itertools import islice, product
 import numpy as np
 
 from .errors import CorruptedStateError, ProfileError
-from .circuit import CircuitLayer, SubsystemLayout
+from .circuit import SubsystemLayout
 from .inifile import parse_pairs, read_ini
 from .qstate import HERMITICITY_TOL, TRACE_TOL, KrausChannel
 
 _I2 = np.eye(2, dtype=np.complex128)
+_CHECK_SLICE = 1 << 15  # entries of the step check's real temporary
 
 _PAULI = {
     "I": _I2,
@@ -151,12 +152,13 @@ def zz_crosstalk_gate(theta: float, edge) -> KrausChannel:
 
 
 def _on_pair(pos, m) -> np.ndarray:
-    """A gate or Kraus operator at pair positions `pos` as a 4x4 matrix."""
+    """A gate or Kraus operator, or a (..., 2, 2) stack of them, at pair
+    positions `pos` as a 4x4 matrix or a (..., 4, 4) stack."""
     if pos == (0,):
-        return (m[:, None, :, None] * _I2[None, :, None, :]).reshape(4, 4)
-    if pos == (1,):
-        return (_I2[:, None, :, None] * m[None, :, None, :]).reshape(4, 4)
-    return m
+        m = m[..., :, None, :, None] * _I2[None, :, None, :]
+    elif pos == (1,):
+        m = _I2[:, None, :, None] * m[..., None, :, None, :]
+    return m.reshape(m.shape[:-4] + (4, 4)) if len(pos) == 1 else m
 
 
 @lru_cache(maxsize=128)
@@ -201,11 +203,13 @@ def _pair_block_superop(block, gate_noise) -> np.ndarray:
     """Compose one pair's (positions, matrix) gate steps, each followed by the
     gate noise at its positions, into a single 16x16 two-qubit superoperator
     with index order (row_i, row_j, col_i, col_j). Exact: all factors act on
-    the same pair."""
+    the same pair. Steps whose matrices are (B, k, k) stacks give the
+    (B, 16, 16) stack of B superoperators, each bit for bit its own block's."""
     total = None
     for pos, m in block:
         u = _on_pair(pos, m)
-        step = (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(16, 16)
+        step = (u[..., :, None, :, None] * u.conj()[..., None, :, None, :]
+                ).reshape(u.shape[:-2] + (16, 16))
         total = step if total is None else step @ total
         if pos in gate_noise:
             total = gate_noise[pos] @ total
@@ -217,8 +221,8 @@ def _step_plan(profile: DeviceNoiseProfile, layout: SubsystemLayout):
     """Input-independent pieces of one pair-major step, built once per profile
     and layout: (gate noise and idle as in `_noise_plan`, the real 4x4 map
     `idle[::5, ::5]` of idle on a pair's diagonal or None, the crosstalk row
-    and column phases or None, the axes of the `(4, 4) * m` view that swap
-    each pair's row and column). The phases are the `(4, 1)` and `(1, 4)`
+    and column phases or None, the axes of a `(B,) + (4, 4) * m` batch that
+    swap each pair's row and column). The phases are the `(4, 1)` and `(1, 4)`
     factors per pair axis, materialised over the last pair axis, so that each
     multiply runs a contiguous inner loop of 16 rather than a broadcast one
     of 4 (the same multiplies in the same order). Raises ProfileError unless
@@ -239,7 +243,7 @@ def _step_plan(profile: DeviceNoiseProfile, layout: SubsystemLayout):
                 row_factor, (4, 1) * (m - 1) + (4, 4))),
             np.ascontiguousarray(np.broadcast_to(
                 col_factor, (1, 4) * (m - 1) + (4, 4))))
-    swap = tuple(a for k in range(m) for a in (2 * k + 1, 2 * k))
+    swap = (0,) + tuple(a for k in range(m) for a in (2 * k + 2, 2 * k + 1))
     return gate_noise, idle, idle_diagonal, crosstalk, swap
 
 
@@ -251,8 +255,9 @@ def _qubit_order(layout: SubsystemLayout) -> tuple:
 
 def idle_damped_populations(v: np.ndarray, profile: DeviceNoiseProfile,
                             layout: SubsystemLayout) -> np.ndarray:
-    """diag(rho_t) of a carried state, which is rho_t before its idle damping
-    (see `apply_device_noise`), as a real (2,) * n array in qubit order.
+    """diag(rho_t) of each carried state of a batch, which is rho_t before its
+    idle damping (see `apply_device_noise`), as a real (B,) + (2,) * n array
+    in qubit order.
 
     On each pair axis the diagonal is r == c: indices 0, 5, 10 and 15. Idle
     damping maps the diagonal only to itself (amplitude damping moves p1 into
@@ -261,33 +266,35 @@ def idle_damped_populations(v: np.ndarray, profile: DeviceNoiseProfile,
     diagonal of the idle-damped state exactly, with no pass over the state.
     """
     m = layout.num_pairs
-    diagonal = v[(slice(None, None, 5),) * m].real
+    diagonal = v[(slice(None),) + (slice(None, None, 5),) * m].real
     idle_diagonal = _step_plan(profile, layout)[2]
     if idle_diagonal is not None:
         for _ in range(m):  # as `_on_every_pair`: each axis in turn to front
-            diagonal = idle_diagonal @ diagonal.reshape(-1, 4).T
-    return diagonal.reshape((2,) * layout.num_qubits).transpose(
-        _qubit_order(layout))
+            diagonal = idle_diagonal @ diagonal.reshape(len(v), -1, 4).transpose(
+                0, 2, 1)
+    return diagonal.reshape((len(v),) + (2,) * layout.num_qubits).transpose(
+        (0, *[1 + a for a in _qubit_order(layout)]))
 
 
 def _on_every_pair(v: np.ndarray, spare: np.ndarray, sup: np.ndarray) -> np.ndarray:
-    """Apply a 16x16 superoperator to every pair axis of a pair-major (16,)*m
-    state. Each product contracts the last axis, moves it to the front and is
-    written into the other buffer, so after m products every axis is back in
-    its place. Returns the buffer that holds the result; the other is free."""
-    for _ in range(v.ndim):
-        np.matmul(sup, v.reshape(-1, 16).T, out=spare.reshape(16, -1))
+    """Apply a 16x16 superoperator, or a (B, 16, 16) stack, to every pair axis
+    of a (B,) + (16,)*m batch of pair-major states. Each product contracts the
+    last axis, moves it to just behind the batch axis and is written into the
+    other buffer, so after m products every axis is back in its place.
+    Returns the buffer that holds the result; the other is free."""
+    for _ in range(v.ndim - 1):
+        np.matmul(sup, v.reshape(len(v), -1, 16).transpose(0, 2, 1),
+                  out=spare.reshape(len(v), 16, -1))
         v, spare = spare, v
     return v
 
 
 def apply_device_noise(v: np.ndarray, spare: np.ndarray,
-                       profile: DeviceNoiseProfile, layer: CircuitLayer,
-                       owes_idle: bool):
-    """One noisy timestep on a carried pair-major state: the layer's pair
-    blocks with gate noise folded in, then per-layer crosstalk. Returns
-    (state, spare): the buffer that holds the result and the one that is
-    free.
+                       profile: DeviceNoiseProfile, layers, owes_idle: bool):
+    """One noisy timestep on a batch of carried pair-major states, state b
+    driven by `layers[b]`: its pair blocks with gate noise folded in, then
+    per-layer crosstalk. Returns (state, spare): the buffer that holds the
+    result and the one that is free.
 
     The carried state is rho_t before its per-qubit idle damping. Idle
     damping acts on each pair alone, as does the next pair block, so when
@@ -299,46 +306,58 @@ def apply_device_noise(v: np.ndarray, spare: np.ndarray,
     full step on rho is this with `owes_idle` false followed by the idle on
     every pair.
 
-    `v` is the 2^n x 2^n matrix with one (r_i, r_j, c_i, c_j) axis of 16 per
-    pair in layout order, a C-contiguous complex (16,) * m array; `spare` is
-    a second one that is overwritten. With `axes = [a for i, j in pairs for a
-    in (i, j, n + i, n + j)]`, `rho.reshape((2,) * 2n).transpose(axes)` gives
-    `v` and `v.reshape((2,) * 2n).transpose(np.argsort(axes))` gives rho back.
-    Nothing is symmetrised; the unfolded step equals the naive sequence of
-    `qstate._apply_superop_tensor` calls within rounding (1e-15).
+    `v` is a C-contiguous complex (B,) + (16,) * m array: per layer the
+    2^n x 2^n matrix with one (r_i, r_j, c_i, c_j) axis of 16 per pair in
+    layout order; `spare` is a second one that is overwritten. With `axes =
+    [a for i, j in pairs for a in (i, j, n + i, n + j)]`,
+    `rho.reshape((2,) * 2n).transpose(axes)` gives `v[b]` and back with
+    `np.argsort(axes)`. The blocks are one (B, 16, 16) stack and each product
+    one stacked product, so a state's step is bit for bit that of a batch of
+    one. Nothing is symmetrised; the unfolded step equals the naive sequence
+    of `qstate._apply_superop_tensor` calls within rounding (1e-15).
 
-    The result is validated as a `DensityMatrix` is, with the same bounds,
+    Each result is validated as a `DensityMatrix` is, with the same bounds,
     and a CorruptedStateError is raised unless its Hermiticity residual
     against the row<->column swap (computed in the free buffer, so a NaN or
     inf fails it) and its trace are within them. Idle damping keeps both, so
     the check holds for the idle-damped state too.
     """
-    m = layer.layout.num_pairs
+    layout = layers[0].layout
+    m = layout.num_pairs
+    shape = (len(layers),) + (16,) * m
     for buffer in (v, spare):
-        if buffer.shape != (16,) * m or not buffer.flags.c_contiguous:
-            raise ValueError(f"layer needs C-contiguous (16,) * {m} buffers, "
-                             f"got shape {buffer.shape}")
-    gate_noise, idle, _, crosstalk, swap = _step_plan(profile, layer.layout)
-    sup = _pair_block_superop(layer.block, gate_noise)
+        if buffer.shape != shape or not buffer.flags.c_contiguous:
+            raise ValueError(f"{len(layers)} layers need C-contiguous {shape} "
+                             f"buffers, got shape {buffer.shape}")
+    if any(layer.layout != layout for layer in layers):
+        raise ValueError("the layers of a batch need one layout")
+    gate_noise, idle, _, crosstalk, swap = _step_plan(profile, layout)
+    # each gate step's B matrices as one stack, in `PAIR_BLOCK` order
+    sup = _pair_block_superop([(steps[0][0], np.array([u for _, u in steps]))
+                               for steps in zip(*[x.block for x in layers])],
+                              gate_noise)
     if owes_idle and idle is not None:
         sup = sup @ idle
     out = _on_every_pair(v, spare, sup)
     v, spare = out, (v if out is spare else spare)
-    w = v.reshape((4, 4) * m)
+    w = v.reshape((len(layers),) + (4, 4) * m)
     if crosstalk is not None:
         rows, cols = crosstalk
         w *= rows
         w *= cols
-    residual = spare.reshape((4, 4) * m)
+    residual = spare.reshape(w.shape)
     np.conjugate(w.transpose(swap), out=residual)
     np.subtract(w, residual, out=residual)
-    herm = np.abs(residual).max()
+    flat = spare.reshape(-1)  # |residual| by slices: no matrix-sized temporary
+    herm = np.max([np.abs(flat[i:i + _CHECK_SLICE]).max()
+                   for i in range(0, flat.size, _CHECK_SLICE)])
     if not herm <= HERMITICITY_TOL:
         raise CorruptedStateError(
             f"not Hermitian: max |rho - rho^dag| = {herm:.3e}")
-    tr = v[(slice(None, None, 5),) * m].sum()
-    if not abs(tr - 1.0) <= TRACE_TOL:
-        raise CorruptedStateError(f"trace must be 1, got {tr!r}")
+    diagonal = v[(slice(None),) + (slice(None, None, 5),) * m]
+    for tr in diagonal.sum(axis=tuple(range(1, m + 1))):
+        if not abs(tr - 1.0) <= TRACE_TOL:
+            raise CorruptedStateError(f"trace must be 1, got {tr!r}")
     return v, spare
 
 

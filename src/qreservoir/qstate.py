@@ -32,8 +32,18 @@ def _as_complex(m) -> np.ndarray:
 
 
 # bytes a trajectory holds per byte of one 2^n x 2^n complex matrix: the
-# state, the spare buffer and the step check's real temporary
-TRAJECTORY_FOOTPRINT = 2.5
+# state and the spare buffer; one evolved batch holds at most BATCH_BUDGET
+# bytes of them, or one trajectory
+TRAJECTORY_FOOTPRINT = 2.0
+BATCH_BUDGET = 1 << 25
+
+
+def trajectory_bytes(n: int) -> float:
+    return TRAJECTORY_FOOTPRINT * 16 * 4 ** n
+
+
+def batch_size(n: int) -> int:
+    return max(1, int(BATCH_BUDGET // trajectory_bytes(n)))
 
 
 def _physical_memory() -> int:
@@ -46,7 +56,7 @@ def check_capacity(n) -> None:
     in [1, MAX_QUBITS], with a trajectory's footprint within physical memory."""
     if not isinstance(n, int) or not 1 <= n <= MAX_QUBITS:
         raise CapacityError(f"num_qubits must be in [1, {MAX_QUBITS}], got {n!r}")
-    need = TRAJECTORY_FOOTPRINT * 16 * 4 ** n
+    need = trajectory_bytes(n)
     have = _physical_memory()
     if need > have:
         raise CapacityError(

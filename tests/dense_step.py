@@ -22,8 +22,8 @@ def device_step(state, profile, layer):
         raise ValueError(f"layer is for {layout.num_qubits} qubits, state has {n}")
     axes = pair_axes(layout)
     v = state.matrix.reshape((2,) * (2 * n)).transpose(axes).copy()
-    v = v.reshape((16,) * layout.num_pairs)
-    v, spare = apply_device_noise(v, np.empty_like(v), profile, layer, False)
+    v = v.reshape((1,) + (16,) * layout.num_pairs)  # a batch of one
+    v, spare = apply_device_noise(v, np.empty_like(v), profile, [layer], False)
     idle = _step_plan(profile, layout)[1]
     if idle is not None:
         v = _on_every_pair(v, spare, idle)

@@ -13,7 +13,7 @@ import numpy as np
 from qreservoir import (DensityMatrix, DeviceNoiseProfile, ReservoirConfig,
                         SubsystemLayout, amplitude_damping_channel,
                         apply_channel, build_layer,
-                        depolarizing_channel, esn_sweep, fit_classifier,
+                        depolarizing_channel, fit_classifier,
                         fit_linear_baseline, gen_synthetic_sensor, k_fold_cv,
                         maximally_mixed, narma_task, pauli_z_expectations,
                         phase_damping_channel, plus_state, predict_class,
@@ -77,14 +77,14 @@ def test_criterion_2_linear_baseline_nmse(capsys):
         f"linear baseline within factor 2 of reference ({detail})")
 
 
-def test_criterion_3_esn_sweep_statistics(capsys):
+def test_criterion_3_esn_sweep_statistics(capsys, esn_sweep_memo):
     min_ok = avg_ok = mono_ok = True
     details = []
     orders = (2, 5, 10)
     # the three targets share one drive, so one sweep serves them all
     u = narma_task(2)[0]
     targets = np.stack([narma_task(order)[1] for order in orders])
-    reports = esn_sweep(u, targets, SPLIT, input_weight_style="01", seed=0)
+    reports = esn_sweep_memo(u, targets, SPLIT, input_weight_style="01", seed=0)
     for order, rep in zip(orders, reports):
         min2 = rep.result_for(2).global_minimum
         avg5 = rep.result_for(5).global_average

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qreservoir import (CapacityError, ConfigError, FeatureSeries,
-                        InputSignalSpec, ProfileError, REFERENCE_T_START,
+                        InputSignalSpec, ProfileError, REFERENCE_T_START, cli,
                         engine, gen_input, load_noise_profile, qstate)
 from qreservoir.cli import (NULL_RUN_WARNING, ExperimentConfig, TASKS,
                             derive_seed, export_circuits, main, parse_config,
@@ -196,7 +196,7 @@ def test_experiment_config_direct_validation():
 
 def test_experiment_config_rejects_a_register_beyond_physical_memory(
         monkeypatch):
-    # a trajectory at n = 8 needs 2.5 * 16 * 4^8 bytes, about 2.6 MB
+    # a trajectory at n = 8 needs 2 * 16 * 4^8 bytes, about 2.1 MB
     monkeypatch.setattr(qstate, "_physical_memory", lambda: 2 ** 20)
     with pytest.raises(CapacityError, match="physical memory"):
         ExperimentConfig(task="narma2", num_qubits=8)
@@ -361,15 +361,16 @@ def test_run_experiment_evolves_each_distinct_input_once(tmp_path,
     # the trajectory depends on the inputs, not on the trial or sample seed:
     # 3 sampled NARMA trials share one evolution, and a classify run whose
     # noise_amplitude = 0 makes every sample of a class identical evolves
-    # once per class; a second run evolves again (nothing is cached)
+    # once per class, the classes as one batch; a second run evolves again
+    # (nothing is cached). Each step records its batch's leading size.
     real = engine.apply_device_noise
     steps = []
     monkeypatch.setattr(engine, "apply_device_noise",
-                        lambda *args: steps.append(1) or real(*args))
+                        lambda *args: steps.append(len(args[0])) or real(*args))
     narma = replace(parse_config(write_narma_config(tmp_path, trials=3)),
                     shots=64, output_dir=str(tmp_path / "narma"))
     run_experiment(narma)
-    assert len(steps) == narma.input_length
+    assert steps == [1] * narma.input_length
 
     steps.clear()
     classify = parse_config(write_config(
@@ -379,11 +380,11 @@ def test_run_experiment_evolves_each_distinct_input_once(tmp_path,
         "[classify]\nclasses = 3\nsamples_per_class = 3\ntimesteps = 20\n"
         "folds = 3\nwashout = 5\nnoise_amplitude = 0.0\n",
         name="classify.ini"))
-    per_run = classify.num_classes * (classify.timesteps - 1)
+    per_run = [classify.num_classes] * (classify.timesteps - 1)
     run_experiment(replace(classify, output_dir=str(tmp_path / "c1")))
-    assert len(steps) == per_run
+    assert steps == per_run
     run_experiment(replace(classify, output_dir=str(tmp_path / "c2")))
-    assert len(steps) == 2 * per_run
+    assert steps == 2 * per_run
     feats = [[(tmp_path / run / f"features/sample{i:02d}.csv").read_bytes()
               for i in range(9)] for run in ("c1", "c2")]
     assert feats[0] == feats[1]
@@ -450,11 +451,14 @@ _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 @pytest.mark.parametrize("name", ["narma2_demo", "stationarity", "classify_exact",
                                   "esn_sweep_narma2"])
-def test_shipped_config_reproduces_committed_out(tmp_path, name):
+def test_shipped_config_reproduces_committed_out(tmp_path, monkeypatch,
+                                                esn_sweep_memo, name):
     # out/ is the checked reference, regenerated only by a declared numerics
     # change. Manifests and summary table strings must match byte for byte;
     # every other number within rtol 1e-12, since the last bits of BLAS
-    # results may differ between CPUs.
+    # results may differ between CPUs. The ESN sweep is criterion 3's order-2
+    # sweep, so the session's memo serves it when that has run.
+    monkeypatch.setattr(cli, "esn_sweep", esn_sweep_memo)
     cfg = parse_config(ROOT / "configs" / f"{name}.ini")
     want_dir = ROOT / cfg.output_dir
     run_experiment(replace(cfg, output_dir=str(tmp_path)))

@@ -366,10 +366,15 @@ def test_run_reservoir_input_validation():
     cfg = ReservoirConfig(SubsystemLayout.default(2), scale=2.0)
     with pytest.raises(ConfigError):
         run_reservoir([], cfg)
+    # a (B, T) stack is a batch of B sequences; more axes are not
     with pytest.raises(ConfigError):
-        run_reservoir([[0.1, 0.2]], cfg)
+        run_reservoir([[[0.1, 0.2]]], cfg)
+    with pytest.raises(ConfigError):
+        run_reservoir(np.empty((2, 0)), cfg)
     with pytest.raises(ConfigError):
         run_reservoir([0.1, float("nan")], cfg)
+    with pytest.raises(ConfigError):
+        run_reservoir([[0.1, 0.2], [0.3, float("nan")]], cfg)
 
 
 def test_feature_series_validation_and_shape():

@@ -398,14 +398,14 @@ def test_device_step_zero_profile_reduces_to_the_bare_layer():
 
 def test_device_step_size_mismatches():
     layer = build_layer(0.1, SubsystemLayout.default(4), 2.0)
-    v = np.full((16, 16), 1 / 16, dtype=np.complex128)
+    v = np.full((1, 16, 16), 1 / 16, dtype=np.complex128)
     with pytest.raises(ProfileError):
         apply_device_noise(v, np.empty_like(v), preset_profile("strong-dense", 8),
-                           layer, True)
-    v = np.full(16, 1 / 4, dtype=np.complex128)
+                           [layer], True)
+    v = np.full((1, 16), 1 / 4, dtype=np.complex128)
     with pytest.raises(ValueError):
         apply_device_noise(v, np.empty_like(v), preset_profile("strong-dense", 2),
-                           layer, True)
+                           [layer], True)
 
 
 def test_device_step_rejects_crosstalk_edge_outside_the_register():
@@ -647,6 +647,30 @@ def test_shipped_profiles_carried_trajectory_is_the_parent_one(name, pairs):
                                parent_evolve(inputs, config), rtol=0, atol=1e-14)
 
 
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(case=_pairings_and_profiles((2, 4, 6)), data=hst.data())
+@example(case=(SubsystemLayout(4, ((3, 0), (1, 2))),
+               preset_profile("strong-dense", 4)), data=None)
+def test_a_batch_evolves_each_trajectory_bit_for_bit(case, data):
+    # B trajectories of one stack equal B separate `evolve` calls exactly:
+    # the block stack and the stacked products repeat each one's arithmetic
+    layout, profile = case
+    if data is None:  # two samples, one repeated, as a classify run holds
+        inputs = [[0.3, -0.2, 0.7], [0.1, 0.4, -0.9], [0.3, -0.2, 0.7]]
+    else:
+        count = data.draw(hst.integers(1, 5), label="B")
+        steps = data.draw(hst.integers(1, 4), label="T")
+        row = hst.lists(hst.floats(-1.0, 1.0), min_size=steps, max_size=steps)
+        inputs = data.draw(hst.lists(row, min_size=count, max_size=count),
+                           label="inputs")
+    config = ReservoirConfig(layout, 2.0, profile)
+    batched = evolve(inputs, config)
+    assert batched.shape == (len(inputs), len(inputs[0]),
+                             1 << layout.num_qubits)
+    for row, populations in zip(inputs, batched):
+        assert np.array_equal(populations, evolve(row, config))
+
+
 @pytest.mark.parametrize("n", [2, 4, 6])
 @pytest.mark.parametrize("profile", [DeviceNoiseProfile(p1=0.01),
                                      DeviceNoiseProfile(gamma_idle=0.01)],
@@ -655,9 +679,10 @@ def test_product_count_parity_decides_which_buffer_holds_the_step(n, profile):
     # the idle owed is folded into the block, so a step is m products
     layer = build_layer(0.4, SubsystemLayout.default(n), 2.0)
     for owes_idle in (False, True):
-        v = np.full((16,) * (n // 2), 1.0 / (1 << n), dtype=np.complex128)
+        v = np.full((1,) + (16,) * (n // 2), 1.0 / (1 << n),
+                    dtype=np.complex128)
         spare = np.empty_like(v)
-        state, free = apply_device_noise(v, spare, profile, layer, owes_idle)
+        state, free = apply_device_noise(v, spare, profile, [layer], owes_idle)
         held, other = (spare, v) if n // 2 % 2 else (v, spare)
         assert state is held and free is other
 
@@ -676,11 +701,20 @@ def _poisoned(result):
     return result
 
 
+def _negative(result):
+    # a unit of weight moved between two diagonal entries of the first state
+    # keeps its trace and Hermiticity, and drives p(0...0) below zero
+    result[0].flat[0] -= 1.0
+    result[0].flat[-1] += 1.0
+    return result
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_doubled, "trace must be 1"),
     (_skewed, "not Hermitian"),
     (_poisoned, "not Hermitian: .* = nan"),
-], ids=["trace", "hermiticity", "nan"])
+    (_negative, "population -9.* is negative"),
+], ids=["trace", "hermiticity", "nan", "negative-population"])
 def test_corrupted_step_stops_the_trajectory(monkeypatch, corrupt, message):
     kernel = qreservoir.noise._on_every_pair
     monkeypatch.setattr(qreservoir.noise, "_on_every_pair",
@@ -714,16 +748,16 @@ def test_closed_form_diagonal_equals_the_idle_product_then_a_read(
     # two sum the same terms, so they agree within one ulp (measured: bit for
     # bit at n >= 4, one ulp at n = 2, where the product has one column)
     profile = DeviceNoiseProfile(gamma_idle=gamma, lambda_idle=lam)
-    v = random_pair_major(layout, 21)
+    v = random_pair_major(layout, 21)[None]  # a batch of one
     idle = _step_plan(profile, layout)[1]
     damped = v if idle is None else _on_every_pair(v.copy(), np.empty_like(v),
                                                    idle)
     m, n = layout.num_pairs, layout.num_qubits
-    want = damped[(slice(None, None, 5),) * m].real.reshape((2,) * n)
+    want = damped[0][(slice(None, None, 5),) * m].real.reshape((2,) * n)
     want = want.transpose(_qubit_order(layout))
     got = idle_damped_populations(v, profile, layout)
-    assert got.shape == (2,) * n
-    assert (np.abs(got - want) <= np.spacing(want)).all()
+    assert got.shape == (1,) + (2,) * n
+    assert (np.abs(got[0] - want) <= np.spacing(want)).all()
 
 
 @settings(derandomize=True, deadline=None, max_examples=30, database=None)

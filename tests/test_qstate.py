@@ -11,7 +11,7 @@ from qreservoir import (CapacityError, DensityMatrix, InvalidChannelError,
                         KrausChannel, ReservoirConfig, SubsystemLayout,
                         apply_channel, basis_state, evolve, maximally_mixed,
                         pauli_z_expectations, plus_state, trace_distance)
-from qreservoir import qstate
+from qreservoir import engine, preset_profile, qstate
 from qreservoir.qstate import check_capacity
 
 
@@ -198,7 +198,8 @@ def test_trace_distance_metric_properties():
 
 
 def test_capacity_counts_a_trajectory_against_physical_memory(monkeypatch):
-    # a trajectory holds 2.5 matrices of 16 * 4^n bytes: 163840 bytes at n = 6
+    # a trajectory holds 2 matrices of 16 * 4^n bytes: 131072 bytes at n = 6
+    # fit in 163840, the 524288 of n = 7 do not
     monkeypatch.setattr(qstate, "_physical_memory", lambda: 163840)
     check_capacity(6)
     plus_state(6)
@@ -206,6 +207,29 @@ def test_capacity_counts_a_trajectory_against_physical_memory(monkeypatch):
         check_capacity(7)
     with pytest.raises(CapacityError, match="physical memory"):
         evolve([0.1], ReservoirConfig(SubsystemLayout.default(8), 2.0))
+
+
+def test_a_batch_is_evolved_in_chunks_within_the_budget(monkeypatch):
+    # at n = 10 a trajectory holds 2 x 16 MiB = 32 MiB, so the 32 MiB budget
+    # evolves a batch of 3 one trajectory at a time. With a budget of 3
+    # trajectories it is one chunk, and the populations are the same
+    config = ReservoirConfig(SubsystemLayout.default(10), 2.0,
+                             preset_profile("strong-dense", 10))
+    inputs = [[0.3, -0.2], [0.7, 0.1], [0.3, -0.2]]
+    real = engine.apply_device_noise
+    sizes = []
+    monkeypatch.setattr(engine, "apply_device_noise",
+                        lambda *args: sizes.append(len(args[0])) or real(*args))
+    chunked = evolve(inputs, config)
+    assert qstate.trajectory_bytes(10) == 2 * 16 * 4 ** 10
+    assert sizes == [1] * 6
+    assert qstate.trajectory_bytes(10) <= qstate.BATCH_BUDGET
+    sizes.clear()
+    monkeypatch.setattr(qstate, "BATCH_BUDGET", 3 * qstate.trajectory_bytes(10))
+    whole = evolve(inputs, config)
+    assert sizes == [3] * 2
+    assert np.array_equal(chunked, whole)
+    assert np.array_equal(chunked[0], chunked[2])
 
 
 # A fresh interpreter measures its own peak resident set: VmHWM, the high
@@ -236,9 +260,10 @@ print(peak() - before, TRAJECTORY_FOOTPRINT * 16 * 4 ** 10)
 @pytest.mark.skipif(not Path("/proc/self/status").exists(),
                     reason="needs the Linux per-process status file")
 def test_trajectory_footprint_estimate_matches_measured_peak_rss():
-    # measured 40.1-40.2 MiB against the estimate's 40.0 MiB: the excess is
-    # the per-profile caches (the crosstalk factors are 2 x 64 KiB at n = 10),
-    # which do not grow with 4^n. The 5% slack is 2 MiB.
+    # measured 32.26-32.28 MiB against the estimate's 32.0 MiB: the excess is
+    # the per-profile caches (the crosstalk factors are 2 x 64 KiB at n = 10)
+    # and the step check's 64 KiB slice, which do not grow with 4^n. The 5%
+    # slack is 1.6 MiB.
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
