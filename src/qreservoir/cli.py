@@ -6,6 +6,7 @@ the single top-level seed, so outputs are byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
@@ -268,19 +269,30 @@ def _run_narma(config: ExperimentConfig, out: str) -> dict:
     # one evolution serves every trial: the seed only enters shot sampling
     seeds = [derive_seed(config.seed, trial) for trial in range(config.trials)]
     trial_feats = run_reservoir(u, config.reservoir(seeds[0]), seeds)
+    readouts = {}  # exact trials share one series: one fit and one CSV text
     for trial, feats in enumerate(trial_feats):
-        ftr, fte = split_series(feats, *split)
-        weights = fit_regression(ftr, y[w0:w1])
-        pred_tr = predict(weights, ftr)
-        pred_te = predict(weights, fte)
-        feats.to_csv(os.path.join(out, f"features_trial{trial:02d}.csv"))
-        rows = np.column_stack([t_idx, y[w0:w2], np.concatenate([pred_tr, pred_te]),
-                                t_idx > w1])
-        np.savetxt(os.path.join(out, f"predictions_trial{trial:02d}.csv"), rows,
-                   delimiter=",", header="t,target,prediction,is_test",
-                   comments="", fmt=["%d", "%.17g", "%.17g", "%d"])
-        train_nmses.append(nmse(pred_tr, y[w0:w1]))
-        test_nmses.append(nmse(pred_te, y[w1:w2]))
+        if id(feats) not in readouts:
+            ftr, fte = split_series(feats, *split)
+            weights = fit_regression(ftr, y[w0:w1])
+            pred_tr = predict(weights, ftr)
+            pred_te = predict(weights, fte)
+            features, predictions = io.StringIO(), io.StringIO()
+            feats.to_csv(features)
+            rows = np.column_stack([t_idx, y[w0:w2],
+                                    np.concatenate([pred_tr, pred_te]), t_idx > w1])
+            np.savetxt(predictions, rows, delimiter=",",
+                       header="t,target,prediction,is_test", comments="",
+                       fmt=["%d", "%.17g", "%.17g", "%d"])
+            readouts[id(feats)] = (nmse(pred_tr, y[w0:w1]), nmse(pred_te, y[w1:w2]),
+                                   {"features": features.getvalue(),
+                                    "predictions": predictions.getvalue()})
+        train_nmse, test_nmse, texts = readouts[id(feats)]
+        for name, text in texts.items():
+            with open(os.path.join(out, f"{name}_trial{trial:02d}.csv"), "w",
+                      encoding="utf-8") as fh:
+                fh.write(text)
+        train_nmses.append(train_nmse)
+        test_nmses.append(test_nmse)
     _write_stationarity(out, trial_feats[0], y, split)
 
     test_arr = np.array(test_nmses)

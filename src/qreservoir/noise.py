@@ -20,6 +20,7 @@ from .qstate import HERMITICITY_TOL, TRACE_TOL, KrausChannel
 
 _I2 = np.eye(2, dtype=np.complex128)
 _CHECK_SLICE = 1 << 15  # entries of the step check's real temporary
+_CHECK_SLOTS = tuple(np.s_[:, r, r:] for r in range(4))
 
 _PAULI = {
     "I": _I2,
@@ -289,6 +290,24 @@ def _on_every_pair(v: np.ndarray, spare: np.ndarray, sup: np.ndarray) -> np.ndar
     return v
 
 
+def _hermiticity_residual(w: np.ndarray, spare: np.ndarray, swap) -> float:
+    """max |r(a)|, r(a) = w[a] - conj(w[swap a]), over a `(B,) + (4, 4) * m`
+    batch, formed in `spare` only over the `_CHECK_SLOTS`, the 10 of the first
+    pair axis's 16 slots with R0 <= C0. Since `|r(swap a)| = |r(a)|` and every
+    entry is read as `a` or as `swap a`, this is bit for bit the maximum over
+    all entries, and NaN if any entry is NaN."""
+    flat, size, wt = spare.reshape(-1), 0, w.transpose(swap)
+    for index in _CHECK_SLOTS:
+        part = w[index]
+        residual = flat[size:size + part.size].reshape(part.shape)
+        np.conjugate(wt[index], out=residual)
+        np.subtract(part, residual, out=residual)
+        size += part.size
+    flat = flat[:size]  # |residual| by slices: no matrix-sized temporary
+    return reduce(np.maximum, [np.abs(flat[i:i + _CHECK_SLICE]).max()
+                               for i in range(0, size, _CHECK_SLICE)])
+
+
 def apply_device_noise(v: np.ndarray, spare: np.ndarray,
                        profile: DeviceNoiseProfile, layers, owes_idle: bool):
     """One noisy timestep on a batch of carried pair-major states, state b
@@ -318,9 +337,9 @@ def apply_device_noise(v: np.ndarray, spare: np.ndarray,
 
     Each result is validated as a `DensityMatrix` is, with the same bounds,
     and a CorruptedStateError is raised unless its Hermiticity residual
-    against the row<->column swap (computed in the free buffer, so a NaN or
-    inf fails it) and its trace are within them. Idle damping keeps both, so
-    the check holds for the idle-damped state too.
+    against the row<->column swap (`_hermiticity_residual`, formed in the free
+    buffer, so a NaN or inf fails it) and its trace are within them. Idle
+    damping keeps both, so the check holds for the idle-damped state too.
     """
     layout = layers[0].layout
     m = layout.num_pairs
@@ -345,12 +364,7 @@ def apply_device_noise(v: np.ndarray, spare: np.ndarray,
         rows, cols = crosstalk
         w *= rows
         w *= cols
-    residual = spare.reshape(w.shape)
-    np.conjugate(w.transpose(swap), out=residual)
-    np.subtract(w, residual, out=residual)
-    flat = spare.reshape(-1)  # |residual| by slices: no matrix-sized temporary
-    herm = np.max([np.abs(flat[i:i + _CHECK_SLICE]).max()
-                   for i in range(0, flat.size, _CHECK_SLICE)])
+    herm = _hermiticity_residual(w, spare, swap)
     if not herm <= HERMITICITY_TOL:
         raise CorruptedStateError(
             f"not Hermitian: max |rho - rho^dag| = {herm:.3e}")

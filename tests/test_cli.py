@@ -332,6 +332,32 @@ def test_run_narma_seed_changes_sampled_outputs(tmp_path):
     assert fa != fb
 
 
+def test_exact_narma_trials_share_one_readout(tmp_path, monkeypatch):
+    # exact trials share one series, so one fit and one set of CSV bytes
+    # serves every trial; sampled trials each fit their own series
+    real = cli.fit_regression
+    fits = []
+    monkeypatch.setattr(cli, "fit_regression",
+                        lambda *args: fits.append(1) or real(*args))
+    cfg = parse_config(write_narma_config(tmp_path, trials=3))
+    run_experiment(replace(cfg, output_dir=str(tmp_path / "three")))
+    assert len(fits) == 1
+    run_experiment(replace(cfg, trials=1, output_dir=str(tmp_path / "one")))
+    for name in ("features", "predictions"):
+        alone = (tmp_path / "one" / f"{name}_trial00.csv").read_bytes()
+        for trial in range(3):
+            path = tmp_path / "three" / f"{name}_trial{trial:02d}.csv"
+            assert path.read_bytes() == alone, path.name
+    summary = json.loads((tmp_path / "three" / "summary.json").read_text())
+    assert len(summary["qr_nmse_test"]) == 3
+    assert len(set(summary["qr_nmse_test"])) == 1
+    assert len(set(summary["qr_nmse_train"])) == 1
+
+    fits.clear()
+    run_experiment(replace(cfg, shots=64, output_dir=str(tmp_path / "sampled")))
+    assert len(fits) == 3
+
+
 def test_run_classify_small(tmp_path):
     cfg = parse_config(write_config(
         tmp_path,

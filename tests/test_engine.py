@@ -209,8 +209,11 @@ def test_exact_features_are_measured_once_per_trajectory(monkeypatch):
     alone = run_reservoir(INPUTS_20, replace(cfg, seed=6))
     assert len(calls) == 2 * INPUTS_20.size
     assert all(np.array_equal(f.values, alone.values) for f in batch)
+    # one object for every seed: the CLI fits and formats each object once
+    assert all(f is batch[0] for f in batch)
     sampled = run_reservoir(INPUTS_20, replace(cfg, shots=16), [3, 4])
     assert len(calls) == 2 * INPUTS_20.size and len(sampled) == 2
+    assert sampled[0] is not sampled[1]
 
 
 def test_sample_bitstrings_on_basis_state():

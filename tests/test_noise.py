@@ -15,9 +15,9 @@ from qreservoir import (CorruptedStateError, DensityMatrix, DeviceNoiseProfile,
                         evolve, load_noise_profile, maximally_mixed,
                         phase_damping_channel, plus_state, preset_profile,
                         zero_noise, zz_crosstalk_gate)
-from qreservoir.noise import (_noise_plan, _on_every_pair, _on_pair,
-                              _pair_block_superop, _qubit_order, _step_plan,
-                              idle_damped_populations)
+from qreservoir.noise import (_hermiticity_residual, _noise_plan,
+                              _on_every_pair, _on_pair, _pair_block_superop,
+                              _qubit_order, _step_plan, idle_damped_populations)
 from qreservoir.qstate import _apply_superop_tensor
 
 from dense_step import device_step, pair_axes
@@ -701,6 +701,18 @@ def _poisoned(result):
     return result
 
 
+def _skewed_lower(result):
+    # slot (R0, C0) = (3, 0) of the first pair axis, which the check reads
+    # only as the partner of slot (0, 3)
+    result[0, 12, 1] += 1e-6
+    return result
+
+
+def _poisoned_lower(result):
+    result[0, 14, 6] = np.nan  # slot (3, 2), read as the partner of (2, 3)
+    return result
+
+
 def _negative(result):
     # a unit of weight moved between two diagonal entries of the first state
     # keeps its trace and Hermiticity, and drives p(0...0) below zero
@@ -723,6 +735,48 @@ def test_corrupted_step_stops_the_trajectory(monkeypatch, corrupt, message):
                              preset_profile("strong-dense", 4))
     with pytest.raises(CorruptedStateError, match=message):
         evolve([0.1, 0.2], config)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_skewed_lower, "not Hermitian"),
+    (_poisoned_lower, "not Hermitian: .* = nan"),
+], ids=["hermiticity", "nan"])
+def test_a_corrupted_lower_slot_stops_the_first_step(monkeypatch, corrupt,
+                                                     message):
+    # one step, so the check itself must see the entry: the next step's
+    # products would spread it into the slots it forms
+    kernel = qreservoir.noise._on_every_pair
+    monkeypatch.setattr(qreservoir.noise, "_on_every_pair",
+                        lambda *args: corrupt(kernel(*args)))
+    config = ReservoirConfig(SubsystemLayout.default(4), 2.0,
+                             preset_profile("strong-dense", 4))
+    with pytest.raises(CorruptedStateError, match=message):
+        evolve([0.1], config)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(m=hst.integers(1, 4), batch=hst.sampled_from([1, 3]),
+       hermitian=hst.booleans(), seed=hst.integers(0, 2 ** 16),
+       spot=hst.floats(0.0, 1.0, exclude_max=True),
+       bad=hst.sampled_from([None, 1e-6 + 1e-6j, np.nan, np.inf, -np.inf]))
+def test_step_check_residual_is_the_full_maximum(m, batch, hermitian, seed,
+                                                 spot, bad):
+    # the check forms the first pair axis's 10 slots with R0 <= C0 and reads
+    # the rest as partners: its maximum is the full one bit for bit, NaN and
+    # inf included, and a single bad entry anywhere in a Hermitian batch shows
+    swap = _step_plan(DeviceNoiseProfile(), SubsystemLayout.default(2 * m))[4]
+    assert swap == (0,) + tuple(a for k in range(m) for a in (2 * k + 2, 2 * k + 1))
+    rng = np.random.default_rng(seed)
+    shape = (batch,) + (4, 4) * m
+    w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if hermitian:
+        w = (w + np.conj(w.transpose(swap))) / 2
+    if bad is not None:
+        w.flat[int(spot * w.size)] += bad
+    with np.errstate(invalid="ignore"):  # inf - inf on a diagonal entry
+        want = np.abs(w - np.conj(w.transpose(swap))).max()
+        got = _hermiticity_residual(w, np.empty_like(w), swap)
+    assert got == want or (np.isnan(got) and np.isnan(want))
 
 
 # ------------------------------------- the closed-form diagonal and crosstalk
