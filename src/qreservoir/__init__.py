@@ -12,10 +12,8 @@ from .errors import (CapacityError, ConfigError, CorruptedStateError,
                      DivergenceError, InvalidChannelError, ProfileError,
                      QReservoirError)
 from .qstate import (MAX_QUBITS, DensityMatrix, KrausChannel, apply_channel,
-                     basis_state, maximally_mixed, pauli_z_expectations,
-                     plus_state, trace_distance)
-from .circuit import (CircuitLayer, SubsystemLayout, apply_layer, build_layer,
-                      cx_gate, export_qasm, rx_gate, rz_gate)
+                     basis_state, pauli_z_expectations, plus_state)
+from .circuit import CircuitLayer, SubsystemLayout, build_layer, export_qasm
 from .noise import (DeviceNoiseProfile, Topology, amplitude_damping_channel,
                     apply_device_noise, depolarizing_channel,
                     load_noise_profile, phase_damping_channel, preset_profile,
@@ -42,11 +40,9 @@ __all__ = [
     "CorruptedStateError", "DivergenceError", "ProfileError", "ConfigError",
     # states and operators
     "MAX_QUBITS", "DensityMatrix", "KrausChannel", "plus_state",
-    "maximally_mixed", "basis_state", "apply_channel",
-    "pauli_z_expectations", "trace_distance",
+    "basis_state", "apply_channel", "pauli_z_expectations",
     # circuit ansatz
-    "SubsystemLayout", "CircuitLayer", "rx_gate", "rz_gate", "cx_gate",
-    "build_layer", "apply_layer", "export_qasm",
+    "SubsystemLayout", "CircuitLayer", "build_layer", "export_qasm",
     # device noise
     "Topology", "DeviceNoiseProfile", "zero_noise", "depolarizing_channel",
     "amplitude_damping_channel", "phase_damping_channel", "zz_crosstalk_gate",

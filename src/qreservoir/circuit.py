@@ -7,46 +7,12 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property
-from math import cos, sin
 
 import numpy as np
-
-from .qstate import DensityMatrix, KrausChannel, apply_channel
-
-_CX_MATRIX = np.array(
-    [[1, 0, 0, 0],
-     [0, 1, 0, 0],
-     [0, 0, 0, 1],
-     [0, 0, 1, 0]], dtype=np.complex128)
 
 # The pair block in order: (gate, pair positions), 0 standing for i, 1 for j.
 PAIR_BLOCK = (("rx", (0,)), ("rx", (1,)), ("cx", (0, 1)), ("rz", (1,)),
               ("cx", (0, 1)))
-
-
-def _rx_matrix(angle: float) -> np.ndarray:
-    c, s = cos(angle / 2), sin(angle / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]])
-
-
-def _rz_matrix(angle: float) -> np.ndarray:
-    p = np.exp(-1j * angle / 2)
-    return np.array([[p, 0], [0, p.conjugate()]])
-
-
-def rx_gate(qubit: int, angle: float) -> KrausChannel:
-    """exp(-i * angle * X / 2)."""
-    return KrausChannel((qubit,), (_rx_matrix(angle),))
-
-
-def rz_gate(qubit: int, angle: float) -> KrausChannel:
-    """exp(-i * angle * Z / 2)."""
-    return KrausChannel((qubit,), (_rz_matrix(angle),))
-
-
-def cx_gate(control: int, target: int) -> KrausChannel:
-    return KrausChannel((control, target), (_CX_MATRIX,))
 
 
 @dataclass(frozen=True)
@@ -90,21 +56,9 @@ class CircuitLayer:
     input_value: float
     scale: float
 
-    @cached_property
-    def block(self) -> tuple:
-        """`PAIR_BLOCK` as (pair positions, matrix) steps shared by every pair
-        (single-qubit gates as 2x2, CX as 4x4)."""
-        s = self.scale * self.input_value
-        mats = {"rx": _rx_matrix(s), "rz": _rz_matrix(s), "cx": _CX_MATRIX}
-        # from a list: a tuple(generator) is resized, which fills a free list
-        return tuple([(pos, mats[name]) for name, pos in PAIR_BLOCK])
-
-    @cached_property
-    def gates(self) -> tuple:
-        """The block on each pair in layout order, as 5m one-operator
-        KrausChannels."""
-        return tuple(KrausChannel(tuple(pair[k] for k in pos), (m,))
-                     for pair in self.layout.pairs for pos, m in self.block)
+    @property
+    def angle(self) -> float:
+        return self.scale * self.input_value
 
 
 def build_layer(u: float, layout: SubsystemLayout, a: float) -> CircuitLayer:
@@ -112,16 +66,6 @@ def build_layer(u: float, layout: SubsystemLayout, a: float) -> CircuitLayer:
     if not np.isfinite(u) or not np.isfinite(a):
         raise ValueError(f"input and scale must be finite, got u={u}, a={a}")
     return CircuitLayer(layout, float(u), float(a))
-
-
-def apply_layer(state: DensityMatrix, layer: CircuitLayer) -> DensityMatrix:
-    if state.num_qubits != layer.layout.num_qubits:
-        raise ValueError(
-            f"state has {state.num_qubits} qubits, layer expects "
-            f"{layer.layout.num_qubits}")
-    for gate in layer.gates:
-        state = apply_channel(state, gate)
-    return state
 
 
 def export_qasm(inputs, layout: SubsystemLayout, a: float) -> str:

@@ -19,6 +19,8 @@ from .inifile import parse_pairs, read_ini
 from .qstate import HERMITICITY_TOL, TRACE_TOL, KrausChannel
 
 _I2 = np.eye(2, dtype=np.complex128)
+_CX = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+               dtype=np.complex128)
 _CHECK_SLICE = 1 << 15  # entries of the step check's real temporary
 _CHECK_SLOTS = tuple(np.s_[:, r, r:] for r in range(4))
 
@@ -200,37 +202,66 @@ def _noise_plan(profile: DeviceNoiseProfile, n: int):
     return phases, gate_noise, idle
 
 
-def _pair_block_superop(block, gate_noise) -> np.ndarray:
-    """Compose one pair's (positions, matrix) gate steps, each followed by the
-    gate noise at its positions, into a single 16x16 two-qubit superoperator
-    with index order (row_i, row_j, col_i, col_j). Exact: all factors act on
-    the same pair. Steps whose matrices are (B, k, k) stacks give the
-    (B, 16, 16) stack of B superoperators, each bit for bit its own block's."""
-    total = None
-    for pos, m in block:
-        u = _on_pair(pos, m)
-        step = (u[..., :, None, :, None] * u.conj()[..., None, :, None, :]
-                ).reshape(u.shape[:-2] + (16, 16))
-        total = step if total is None else step @ total
-        if pos in gate_noise:
-            total = gate_noise[pos] @ total
-    return total
+def _pair_blocks(left, right, angles) -> np.ndarray:
+    """The (B, 16, 16) stack `left @ sup(U(s)) @ right` of pair blocks, one
+    per angle s (`left` or `right` None for the identity), with index order
+    (row_i, row_j, col_i, col_j). U(s) = ZZ(s) (RX(s) (x) RX(s)) is the
+    block's unitary, ZZ(s) = CX RZ_j(s) CX = exp(-i s Z_i Z_j / 2), and
+    sup(U) is `U (x) conj(U)`. The cosines and sines of every angle are taken
+    in one pass, and each product is a stacked one, so a block is bit for
+    bit the same in any stack."""
+    half = np.asarray(angles, dtype=np.float64) / 2
+    c, s = np.cos(half), np.sin(half)
+    rx = np.empty(half.shape + (2, 2), dtype=np.complex128)
+    rx[:, 0, 0] = rx[:, 1, 1] = c
+    rx[:, 0, 1] = rx[:, 1, 0] = -1j * s
+    u = (rx[:, :, None, :, None] * rx[:, None, :, None, :]).reshape(-1, 4, 4)
+    phase = c - 1j * s  # exp(-i s / 2), the ZZ(s) phase of rows 00 and 11
+    u[:, ::3] *= phase[:, None, None]
+    u[:, 1:3] *= phase.conj()[:, None, None]
+    sup = (u[:, :, None, :, None] * u.conj()[:, None, :, None, :]
+           ).reshape(-1, 16, 16)
+    if left is not None:
+        sup = left @ sup
+    return sup if right is None else sup @ right
+
+
+def _product(*factors):
+    """The matrix product of the factors that are not None, or None."""
+    factors = [f for f in factors if f is not None]
+    return reduce(np.matmul, factors) if factors else None
 
 
 @lru_cache(maxsize=128)
 def _step_plan(profile: DeviceNoiseProfile, layout: SubsystemLayout):
     """Input-independent pieces of one pair-major step, built once per profile
-    and layout: (gate noise and idle as in `_noise_plan`, the real 4x4 map
-    `idle[::5, ::5]` of idle on a pair's diagonal or None, the crosstalk row
-    and column phases or None, the axes of a `(B,) + (4, 4) * m` batch that
-    swap each pair's row and column). The phases are the `(4, 1)` and `(1, 4)`
-    factors per pair axis, materialised over the last pair axis, so that each
-    multiply runs a contiguous inner loop of 16 rather than a broadcast one
-    of 4 (the same multiplies in the same order). Raises ProfileError unless
-    the topology fits the register."""
+    and layout: (the pair block's fixed channels P and (D, D @ idle) of
+    `_pair_blocks`, each None for the identity; the real 4x4 map
+    `idle[::5, ::5]` of idle on a pair's diagonal or None; the crosstalk row
+    and column phases or None; the axes of a `(B,) + (4, 4) * m` batch that
+    swap each pair's row and column).
+
+    With gate noise, `PAIR_BLOCK` is RX_i, D1_i, RX_j, D1_j, CX, D2, RZ_j,
+    D1_j, CX, D2, where D1 is the p1 depolarizing channel on one qubit and
+    D2 the p2 one on the pair. Depolarizing commutes with every unitary on
+    its own qubits, so the block is `P @ sup(U(s)) @ D` with
+    `P = D2 (CX D1_j CX) D2` and `D = D1_i D1_j`, and the idle a step owes
+    folds in as `D @ idle`. This rests on the gate noise being
+    depolarizing: another gate channel needs the gate-by-gate form.
+
+    The phases are the `(4, 1)` and `(1, 4)` factors per pair axis,
+    materialised over the last pair axis, so that each multiply runs a
+    contiguous inner loop of 16 rather than a broadcast one of 4 (the same
+    multiplies in the same order). Raises ProfileError unless the topology
+    fits the register."""
     n = layout.num_qubits
     profile.topology.check_register(n)
     zz_phases, gate_noise, idle = _noise_plan(profile, n)
+    cx = np.kron(_CX, _CX)  # sup(CX), real
+    d1_j, d2 = gate_noise.get((1,)), gate_noise.get((0, 1))
+    left = _product(d2, None if d1_j is None else cx @ d1_j @ cx, d2)
+    right = _product(gate_noise.get((0,)), d1_j)
+    right = (right, _product(right, idle))
     m = layout.num_pairs
     idle_diagonal = None if idle is None else idle[::5, ::5].real.copy()
     crosstalk = None
@@ -245,7 +276,7 @@ def _step_plan(profile: DeviceNoiseProfile, layout: SubsystemLayout):
             np.ascontiguousarray(np.broadcast_to(
                 col_factor, (1, 4) * (m - 1) + (4, 4))))
     swap = (0,) + tuple(a for k in range(m) for a in (2 * k + 2, 2 * k + 1))
-    return gate_noise, idle, idle_diagonal, crosstalk, swap
+    return left, right, idle_diagonal, crosstalk, swap
 
 
 @lru_cache(maxsize=128)
@@ -311,14 +342,15 @@ def _hermiticity_residual(w: np.ndarray, spare: np.ndarray, swap) -> float:
 def apply_device_noise(v: np.ndarray, spare: np.ndarray,
                        profile: DeviceNoiseProfile, layers, owes_idle: bool):
     """One noisy timestep on a batch of carried pair-major states, state b
-    driven by `layers[b]`: its pair blocks with gate noise folded in, then
-    per-layer crosstalk. Returns (state, spare): the buffer that holds the
-    result and the one that is free.
+    driven by `layers[b]`: its pair blocks with gate noise folded in, built
+    in closed form from the layer's angle (see `_step_plan`), then per-layer
+    crosstalk. Returns (state, spare): the buffer that holds the result and
+    the one that is free.
 
     The carried state is rho_t before its per-qubit idle damping. Idle
     damping acts on each pair alone, as does the next pair block, so when
     `owes_idle` is true the idle that `v` still owes is folded into this
-    step's block as one 16x16 matrix, `block @ idle`, and a step is one
+    step's block as one 16x16 matrix, `D @ idle`, and a step is one
     matrix product per pair. The diagonal after the idle, the features, is
     read by `idle_damped_populations`. With `owes_idle` false (the first
     step, whose initial state owes nothing) the block is applied alone; a
@@ -350,13 +382,8 @@ def apply_device_noise(v: np.ndarray, spare: np.ndarray,
                              f"buffers, got shape {buffer.shape}")
     if any(layer.layout != layout for layer in layers):
         raise ValueError("the layers of a batch need one layout")
-    gate_noise, idle, _, crosstalk, swap = _step_plan(profile, layout)
-    # each gate step's B matrices as one stack, in `PAIR_BLOCK` order
-    sup = _pair_block_superop([(steps[0][0], np.array([u for _, u in steps]))
-                               for steps in zip(*[x.block for x in layers])],
-                              gate_noise)
-    if owes_idle and idle is not None:
-        sup = sup @ idle
+    left, right, _, crosstalk, swap = _step_plan(profile, layout)
+    sup = _pair_blocks(left, right[owes_idle], [x.angle for x in layers])
     out = _on_every_pair(v, spare, sup)
     v, spare = out, (v if out is spare else spare)
     w = v.reshape((len(layers),) + (4, 4) * m)

@@ -21,7 +21,6 @@ MAX_QUBITS = 14
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 COMPLETENESS_TOL = 1e-12
-PSD_TOL = 1e-9
 
 
 def _as_complex(m) -> np.ndarray:
@@ -95,25 +94,12 @@ class DensityMatrix:
         """diag(rho) as floats: the computational-basis outcome probabilities."""
         return np.real(np.diagonal(self.matrix))
 
-    def validate(self) -> "DensityMatrix":
-        """Opt-in PSD check (eigendecomposition; skipped on the hot path)."""
-        lo = np.linalg.eigvalsh(self.matrix).min()
-        if lo < -PSD_TOL:
-            raise ValueError(f"not positive semidefinite: min eigenvalue {lo:.3e}")
-        return self
-
 
 def plus_state(n: int) -> DensityMatrix:
     """|+><+| on every qubit: the uniform matrix with all entries 1/2^n."""
     check_capacity(n)
     d = 1 << n
     return DensityMatrix(n, np.full((d, d), 1.0 / d, dtype=np.complex128))
-
-
-def maximally_mixed(n: int) -> DensityMatrix:
-    check_capacity(n)
-    d = 1 << n
-    return DensityMatrix(n, np.eye(d, dtype=np.complex128) / d)
 
 
 def basis_state(n: int, bits) -> DensityMatrix:
@@ -229,11 +215,3 @@ def pauli_z_expectations(populations) -> np.ndarray:
         out[i] = marginal[0] - marginal[1]
     return out
 
-
-def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Half the trace norm of a - b; in [0, 1]."""
-    if a.num_qubits != b.num_qubits:
-        raise ValueError(
-            f"dimension mismatch: {a.num_qubits} vs {b.num_qubits} qubits")
-    ev = np.linalg.eigvalsh(a.matrix - b.matrix)
-    return 0.5 * float(np.abs(ev).sum())

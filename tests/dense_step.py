@@ -5,7 +5,7 @@ damping on every pair, permute back and wrap."""
 import numpy as np
 
 from qreservoir import DensityMatrix, apply_device_noise
-from qreservoir.noise import _on_every_pair, _step_plan
+from qreservoir.noise import _noise_plan, _on_every_pair
 
 
 def pair_axes(layout):
@@ -24,7 +24,7 @@ def device_step(state, profile, layer):
     v = state.matrix.reshape((2,) * (2 * n)).transpose(axes).copy()
     v = v.reshape((1,) + (16,) * layout.num_pairs)  # a batch of one
     v, spare = apply_device_noise(v, np.empty_like(v), profile, [layer], False)
-    idle = _step_plan(profile, layout)[1]
+    idle = _noise_plan(profile, n)[2]
     if idle is not None:
         v = _on_every_pair(v, spare, idle)
     matrix = v.reshape((2,) * (2 * n)).transpose(np.argsort(axes))

@@ -1,13 +1,14 @@
-"""Reservoir circuit construction, application, and QASM export."""
+"""Reservoir circuit construction, the gate-by-gate reference, and QASM export."""
 import re
 
 import numpy as np
 import pytest
 
 from qreservoir import (CircuitLayer, KrausChannel, SubsystemLayout,
-                        apply_channel, apply_layer, basis_state, build_layer,
-                        cx_gate, export_qasm, pauli_z_expectations, plus_state,
-                        rx_gate, rz_gate)
+                        apply_channel, basis_state, build_layer, export_qasm,
+                        pauli_z_expectations, plus_state)
+
+from oracle import apply_layer, cx_gate, layer_gates, rx_gate, rz_gate
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -75,9 +76,11 @@ def test_build_layer_structure_and_angle():
     u, a = 0.17, 2.0
     layer = build_layer(u, layout, a)
     assert isinstance(layer, CircuitLayer)
-    assert len(layer.gates) == 5 * layout.num_pairs
+    assert layer.angle == a * u
+    gates = layer_gates(layer)
+    assert len(gates) == 5 * layout.num_pairs
     for p, (i, j) in enumerate(layout.pairs):
-        block = layer.gates[5 * p:5 * p + 5]
+        block = gates[5 * p:5 * p + 5]
         assert [g.targets for g in block] == [(i,), (j,), (i, j), (j,), (i, j)]
         assert np.allclose(block[0].operators[0], rx_gate(i, a * u).operators[0])
         assert np.allclose(block[3].operators[0], rz_gate(j, a * u).operators[0])

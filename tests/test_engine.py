@@ -10,14 +10,15 @@ from qreservoir import (EXACT, ConfigError, CorruptedStateError, DensityMatrix,
                         DeviceNoiseProfile, FeatureSeries, ReservoirConfig,
                         SubsystemLayout, Topology, basis_state,
                         build_layer, esn_sweep, fit_linear_baseline,
-                        maximally_mixed, measure, plus_state, preset_profile,
+                        measure, plus_state, preset_profile,
                         run_reservoir, sample_bitstrings, split_series,
-                        stationarity_report, trace_distance, zero_noise)
+                        stationarity_report, zero_noise)
 from qreservoir import engine
 from qreservoir.cli import main
 from qreservoir.engine import _CLIP_TOL
 
 from dense_step import device_step
+from oracle import maximally_mixed, trace_distance
 
 RNG = np.random.default_rng(42)
 INPUTS_20 = RNG.uniform(0.0, 0.2, size=20)

@@ -10,17 +10,20 @@ import qreservoir.noise
 from qreservoir import (CorruptedStateError, DensityMatrix, DeviceNoiseProfile,
                         ProfileError, ReservoirConfig, SubsystemLayout,
                         Topology, amplitude_damping_channel,
-                        apply_channel, apply_device_noise, apply_layer,
+                        apply_channel, apply_device_noise,
                         basis_state, build_layer, depolarizing_channel,
-                        evolve, load_noise_profile, maximally_mixed,
+                        evolve, load_noise_profile,
                         phase_damping_channel, plus_state, preset_profile,
                         zero_noise, zz_crosstalk_gate)
 from qreservoir.noise import (_hermiticity_residual, _noise_plan,
-                              _on_every_pair, _on_pair, _pair_block_superop,
-                              _qubit_order, _step_plan, idle_damped_populations)
+                              _on_every_pair, _on_pair, _pair_blocks,
+                              _qubit_order, _step_plan,
+                              idle_damped_populations)
 from qreservoir.qstate import _apply_superop_tensor
 
 from dense_step import device_step, pair_axes
+from oracle import (apply_layer, layer_block, layer_gates, maximally_mixed,
+                    pair_block_superop, validate)
 
 PROFILE_DIR = Path(__file__).resolve().parent.parent / "profiles"
 
@@ -38,7 +41,7 @@ def sequential_step(state, profile, layer):
     depolarizing channel, then crosstalk unitaries edge by edge, then amplitude
     and phase damping qubit by qubit. Deliberately avoids the library's plan
     caching and superoperator composition."""
-    for gate in layer.gates:
+    for gate in layer_gates(layer):
         state = apply_channel(state, gate)
         if len(gate.targets) == 1 and profile.p1 > 0:
             state = apply_channel(
@@ -251,7 +254,7 @@ def test_device_step_matches_sequential_reference(name, layout):
         st_fast = device_step(st_fast, profile, layer)
         st_ref = sequential_step(st_ref, profile, layer)
     assert np.abs(st_fast.matrix - st_ref.matrix).max() < 1e-12
-    st_fast.validate()
+    validate(st_fast)
 
 
 _PROBABILITY = hst.floats(0.0, 1.0)
@@ -429,7 +432,7 @@ def naive_step(state, profile, layer):
     multiplies, then per qubit the composed one-qubit idle superoperator."""
     n = state.num_qubits
     phases, gate_noise, _ = _noise_plan(profile, n)
-    block = _pair_block_superop(layer.block, gate_noise).reshape((2,) * 8)
+    block = pair_block_superop(layer_block(layer), gate_noise).reshape((2,) * 8)
     m = state.matrix
     for pair in layer.layout.pairs:
         m = _apply_superop_tensor(m, block, pair)
@@ -536,7 +539,7 @@ def test_unsymmetrised_step_does_not_drift_over_a_long_trajectory(name, pairs):
 
 
 def kron_pair_block(block, gate_noise):
-    """`_pair_block_superop` with every Kronecker product taken by np.kron."""
+    """`pair_block_superop` with every Kronecker product taken by np.kron."""
     eye = np.eye(2, dtype=np.complex128)
     total = None
     for pos, m in block:
@@ -565,9 +568,39 @@ def test_broadcast_kronecker_products_equal_np_kron_bit_for_bit(
     assert same_bits(_on_pair((0,), m), np.kron(m, eye))
     assert same_bits(_on_pair((1,), m), np.kron(eye, m))
     _, gate_noise, _ = _noise_plan(DeviceNoiseProfile(p1=p1, p2=p2), 2)
-    block = build_layer(u, SubsystemLayout.default(2), scale).block
-    assert same_bits(_pair_block_superop(block, gate_noise),
+    block = layer_block(build_layer(u, SubsystemLayout.default(2), scale))
+    assert same_bits(pair_block_superop(block, gate_noise),
                      kron_pair_block(block, gate_noise))
+
+
+_EDGE_OR_PROBABILITY = hst.one_of(hst.just(0.0), hst.just(1.0), _PROBABILITY)
+
+
+# Depolarizing commutes with every unitary on its own qubits, so the block is
+# P sup(U(s)) D: it sums in another order than the gate-by-gate form and
+# agrees with it within rounding.
+@settings(derandomize=True, deadline=None, max_examples=80, database=None)
+@given(angles=hst.lists(hst.floats(-10.0, 10.0), min_size=1, max_size=4),
+       p1=_EDGE_OR_PROBABILITY, p2=_EDGE_OR_PROBABILITY,
+       gamma=_ZERO_OR_PROBABILITY, lam=_ZERO_OR_PROBABILITY,
+       owes_idle=hst.booleans())
+@example(angles=[0.3, -2.5], p1=1.0, p2=1.0, gamma=0.01, lam=0.02,
+         owes_idle=True)
+def test_closed_form_pair_blocks_equal_the_gate_by_gate_oracle(
+        angles, p1, p2, gamma, lam, owes_idle):
+    profile = DeviceNoiseProfile(p1=p1, p2=p2, gamma_idle=gamma,
+                                 lambda_idle=lam)
+    layout = SubsystemLayout.default(2)
+    left, right = _step_plan(profile, layout)[:2]
+    got = _pair_blocks(left, right[owes_idle], angles)
+    _, gate_noise, idle = _noise_plan(profile, 2)
+    assert got.shape == (len(angles), 16, 16)
+    for s, block in zip(angles, got):
+        want = pair_block_superop(layer_block(build_layer(s, layout, 1.0)),
+                                  gate_noise)
+        if owes_idle and idle is not None:
+            want = want @ idle
+        assert np.abs(block - want).max() <= 1e-15
 
 
 # ------------------------------------------- the carried pair-major trajectory
@@ -588,7 +621,7 @@ def parent_device_step(state, profile, layer):
             v = (sup @ v.reshape(-1, 16).T).reshape(v.shape)
         return v
 
-    v = on_every_pair(v, _pair_block_superop(layer.block, gate_noise))
+    v = on_every_pair(v, pair_block_superop(layer_block(layer), gate_noise))
     if zz_phases is not None:
         qubits = [q for pair in pairs for q in pair]
         rows = zz_phases.reshape((2,) * n).transpose(qubits).reshape((4,) * m)
@@ -803,7 +836,7 @@ def test_closed_form_diagonal_equals_the_idle_product_then_a_read(
     # bit at n >= 4, one ulp at n = 2, where the product has one column)
     profile = DeviceNoiseProfile(gamma_idle=gamma, lambda_idle=lam)
     v = random_pair_major(layout, 21)[None]  # a batch of one
-    idle = _step_plan(profile, layout)[1]
+    idle = _noise_plan(profile, layout.num_qubits)[2]
     damped = v if idle is None else _on_every_pair(v.copy(), np.empty_like(v),
                                                    idle)
     m, n = layout.num_pairs, layout.num_qubits
