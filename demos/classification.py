@@ -22,7 +22,7 @@ config = ReservoirConfig(SubsystemLayout.default(4), scale=float(np.pi),
 
 print("running", len(dataset.labels), "reservoir trajectories...")
 inputs = [preprocess_diff(s) for s in dataset.series]
-blocks = [run_reservoir(u, config).values[WASHOUT:] for u in inputs]
+blocks = [run_reservoir(u, config, washout=WASHOUT).values for u in inputs]
 labels = dataset.labels
 
 qr = k_fold_cv(blocks, labels, FOLDS, seed=0)

@@ -326,13 +326,15 @@ def _run_classify(config: ExperimentConfig, out: str) -> dict:
         shared.setdefault(u.tobytes(), []).append(i)
     groups = list(shared.values())
     seeds = [[derive_seed(config.seed, 2, i) for i in g] for g in groups]
-    # every sample has timesteps - 1 inputs: one batch evolves them all
+    # every sample has timesteps - 1 inputs: one batch evolves them all, and
+    # only the rows after the washout are measured
     feats = run_reservoir([inputs[g[0]] for g in groups],
-                          config.reservoir(seeds[0][0]), seeds)
+                          config.reservoir(seeds[0][0]), seeds,
+                          washout=config.class_washout)
     blocks = [None] * len(inputs)  # QR features per sample, after the washout
     for members, group in zip(groups, feats):
         for i, f in zip(members, group):
-            blocks[i] = f.values[config.class_washout:]
+            blocks[i] = f.values
     labels = dataset.labels
 
     feat_dir = os.path.join(out, "features")

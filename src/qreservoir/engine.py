@@ -124,7 +124,7 @@ def sample_bitstrings(populations, shots: int, readout_flip,
     if abs(mass - 1.0) > _MASS_TOL:
         raise CorruptedStateError(
             f"diagonal mass {mass!r} deviates from 1 beyond tolerance")
-    np.clip(probs, 0.0, None, out=probs)
+    np.maximum(probs, 0.0, out=probs)
     probs /= probs.sum()
     cdf = probs.cumsum()
     cdf /= cdf[-1]
@@ -147,6 +147,31 @@ def sample_bitstrings(populations, shots: int, readout_flip,
     return columns.T  # Fortran order: a per-qubit count reads contiguous rows
 
 
+def _check_inputs(inputs) -> np.ndarray:
+    """`inputs` as float64: a 1-d, non-empty, finite sequence or a (B, T)
+    stack of them, else ConfigError."""
+    inputs = np.asarray(inputs, dtype=np.float64)
+    if (inputs.ndim not in (1, 2) or inputs.size < 1
+            or not np.isfinite(inputs).all()):
+        raise ConfigError(f"need a 1-d, non-empty, finite input sequence or a "
+                          f"(B, T) stack of them, got shape {inputs.shape}")
+    return inputs
+
+
+def _check_washout(washout, timesteps: int) -> int:
+    """`washout` as an int that leaves at least one of `timesteps` rows: an
+    integral count >= 0 that is not a bool, else ConfigError."""
+    try:
+        count = -1 if isinstance(washout, bool) else operator.index(washout)
+    except TypeError:
+        count = -1
+    if count < 0:
+        raise ConfigError(f"washout must be an int >= 0, got {washout!r}")
+    if count >= timesteps:
+        raise ConfigError(f"washout {count} leaves no row of {timesteps}")
+    return count
+
+
 def evolve(inputs, config: ReservoirConfig) -> np.ndarray:
     """Evolve rho_0 = |+><+|^n through one noisy layer per input; returns the
     populations diag(rho_t) after each step, shape (timesteps, 2^n). The
@@ -162,11 +187,7 @@ def evolve(inputs, config: ReservoirConfig) -> np.ndarray:
     every step's result is checked, so a corrupted step (trace, Hermiticity
     or a negative population) raises CorruptedStateError.
     """
-    inputs = np.asarray(inputs, dtype=np.float64)
-    if (inputs.ndim not in (1, 2) or inputs.size < 1
-            or not np.isfinite(inputs).all()):
-        raise ConfigError(f"need a 1-d, non-empty, finite input sequence or a "
-                          f"(B, T) stack of them, got shape {inputs.shape}")
+    inputs = _check_inputs(inputs)
     layout = config.layout
     n = layout.num_qubits
     check_capacity(n)
@@ -191,50 +212,61 @@ def evolve(inputs, config: ReservoirConfig) -> np.ndarray:
     return populations.reshape(inputs.shape + (1 << n,))
 
 
-def measure(populations, config: ReservoirConfig) -> FeatureSeries:
-    """Features of each row of `evolve`'s output. Sampled mode draws the shots
-    of timestep t from substream (seed, t), so results are reproducible and do
-    not depend on how many measurements share one evolution.
+def measure(populations, config: ReservoirConfig,
+            washout: int = 0) -> FeatureSeries:
+    """Features of rows washout+1..T of `evolve`'s output; the first `washout`
+    rows are not measured. Sampled mode draws the shots of timestep t from
+    substream (seed, t), so results are reproducible and do not depend on how
+    many measurements share one evolution or on which earlier rows are
+    measured.
     """
-    rows = np.empty((len(populations), config.layout.num_qubits))
-    for t, probs in enumerate(populations, start=1):
+    washout = _check_washout(washout, len(populations))
+    kept = populations[washout:]
+    rows = np.empty((len(kept), config.layout.num_qubits))
+    for i, probs in enumerate(kept):
         if config.exact:
-            rows[t - 1] = pauli_z_expectations(probs)
+            rows[i] = pauli_z_expectations(probs)
         else:
-            rng = np.random.default_rng([config.seed, t])
+            rng = np.random.default_rng([config.seed, washout + 1 + i])
             bits = sample_bitstrings(probs, config.shots,
                                      config.profile.readout_flip, rng)
             # per-qubit counts over the contiguous rows of bits.T; a count is
             # exact, so count / shots is bits.mean(axis=0), bit for bit
             counts = np.fromiter(map(np.count_nonzero, bits.T), np.intp,
                                  bits.shape[1])
-            rows[t - 1] = 1.0 - 2.0 * (counts / config.shots)  # bit 0 reads +1
+            rows[i] = 1.0 - 2.0 * (counts / config.shots)  # bit 0 reads +1
     return FeatureSeries(rows)
 
 
-def run_reservoir(inputs, config: ReservoirConfig, seeds=None):
-    """`measure(evolve(inputs, config), config)`. Given `seeds`, evolves once
-    and returns one FeatureSeries per seed, each measured as
+def run_reservoir(inputs, config: ReservoirConfig, seeds=None,
+                  washout: int = 0):
+    """`measure(evolve(inputs, config), config, washout)`. Every step is
+    evolved and checked; only rows washout+1..T are measured. Given `seeds`,
+    evolves once and returns one FeatureSeries per seed, each measured as
     `replace(config, seed=seed)` would be; exact features never read the
     seed, so exact mode measures once and returns that series for every seed.
     A (B, T) stack of inputs is evolved as one batch and gives a list of B
-    such results, row b's measured with the seeds `seeds[b]`.
+    such results, row b's measured with the seeds `seeds[b]`. A bad `washout`
+    raises ConfigError before anything is evolved.
     """
+    inputs = _check_inputs(inputs)
+    washout = _check_washout(washout, inputs.shape[-1])
     populations = evolve(inputs, config)
     if populations.ndim == 2:
-        return _measure_seeds(populations, config, seeds)
+        return _measure_seeds(populations, config, seeds, washout)
     seeds = [None] * len(populations) if seeds is None else seeds
-    return [_measure_seeds(rows, config, row_seeds)
+    return [_measure_seeds(rows, config, row_seeds, washout)
             for rows, row_seeds in zip(populations, seeds, strict=True)]
 
 
-def _measure_seeds(populations, config: ReservoirConfig, seeds):
+def _measure_seeds(populations, config: ReservoirConfig, seeds, washout):
     if seeds is None:
-        return measure(populations, config)
+        return measure(populations, config, washout)
     if config.exact:
-        features = measure(populations, config)
+        features = measure(populations, config, washout)
         return [features for _ in seeds]
-    return [measure(populations, replace(config, seed=s)) for s in seeds]
+    return [measure(populations, replace(config, seed=s), washout)
+            for s in seeds]
 
 
 def feature_rows(features) -> np.ndarray:

@@ -418,6 +418,27 @@ def test_run_experiment_evolves_each_distinct_input_once(tmp_path,
     assert len(set(feats[0][:3])) == 3
 
 
+def test_sampled_classify_draws_shots_only_after_the_washout(tmp_path,
+                                                            monkeypatch):
+    # every step is evolved, but a washout row's shots would reach no CSV,
+    # fit or score: the sampler runs once per kept row of each sample
+    real = engine.sample_bitstrings
+    calls = []
+    monkeypatch.setattr(engine, "sample_bitstrings",
+                        lambda *args: calls.append(1) or real(*args))
+    cfg = parse_config(write_config(
+        tmp_path,
+        "[experiment]\ntask = classify\n"
+        "[reservoir]\nnum_qubits = 2\nshots = 64\nprofile = noisy.ini\n"
+        "[classify]\nclasses = 3\nsamples_per_class = 3\ntimesteps = 20\n"
+        "folds = 3\nwashout = 5\n"))
+    run_experiment(replace(cfg, output_dir=str(tmp_path / "out")))
+    samples = cfg.num_classes * cfg.samples_per_class
+    assert len(calls) == samples * (cfg.timesteps - 1 - cfg.class_washout)
+    f0 = FeatureSeries.from_csv(tmp_path / "out" / "features" / "sample00.csv")
+    assert f0.timesteps == cfg.timesteps - 1 - cfg.class_washout
+
+
 def test_run_esn_sweep_small(tmp_path):
     cfg = parse_config(
         "[experiment]\ntask = esn-sweep\ntrials = 1\n"
@@ -476,7 +497,7 @@ _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
 @pytest.mark.parametrize("name", ["narma2_demo", "stationarity", "classify_exact",
-                                  "esn_sweep_narma2"])
+                                  "esn_sweep_narma2", "narma2_sampled"])
 def test_shipped_config_reproduces_committed_out(tmp_path, monkeypatch,
                                                 esn_sweep_memo, name):
     # out/ is the checked reference, regenerated only by a declared numerics

@@ -156,6 +156,51 @@ def test_sampled_prefix_rows_do_not_depend_on_later_inputs():
     assert np.array_equal(full.values[:8], short.values)
 
 
+def _series(result):
+    """The FeatureSeries of a `run_reservoir` result, in order."""
+    if isinstance(result, FeatureSeries):
+        return [result]
+    return [f for item in result for f in _series(item)]
+
+
+@pytest.mark.parametrize("shots", [EXACT, 64])
+@pytest.mark.parametrize("stacked", [False, True], ids=["1d", "stack"])
+@pytest.mark.parametrize("seeds", [None, [3, 4]], ids=["no-seeds", "seeds"])
+def test_washout_drops_rows_and_keeps_the_rest_bit_for_bit(shots, stacked,
+                                                           seeds):
+    # every step is still evolved; the first k rows are not measured, and
+    # sampled row t still draws from substream (seed, t)
+    cfg = ReservoirConfig(SubsystemLayout.default(2), scale=2.0,
+                          profile=preset_profile("weak-sparse", 2),
+                          shots=shots, seed=5)
+    inputs = INPUTS_20
+    if stacked:
+        inputs = np.stack([INPUTS_20, INPUTS_20[::-1], 0.5 * INPUTS_20])
+        seeds = None if seeds is None else [seeds, [5], [6, 7, 8]]
+    full = _series(run_reservoir(inputs, cfg, seeds))
+    for k in (0, 1, np.int64(INPUTS_20.size - 1)):
+        kept = _series(run_reservoir(inputs, cfg, seeds, washout=k))
+        assert len(kept) == len(full)
+        for whole, part in zip(full, kept):
+            assert part.timesteps == INPUTS_20.size - k
+            assert np.array_equal(part.values, whole.values[k:])
+
+
+@pytest.mark.parametrize("washout", [-1, 20, 21, 2.0, True, False, "3", None],
+                         ids=repr)
+def test_bad_washout_raises_before_evolving(monkeypatch, washout):
+    monkeypatch.setattr(engine, "evolve",
+                        lambda *args: pytest.fail("evolve started"))
+    cfg = ReservoirConfig(SubsystemLayout.default(2), scale=2.0, shots=16)
+    with pytest.raises(ConfigError, match="washout"):
+        run_reservoir(INPUTS_20, cfg, washout=washout)
+    with pytest.raises(ConfigError, match="washout"):
+        run_reservoir(np.stack([INPUTS_20] * 2), cfg, [[1], [2]],
+                      washout=washout)
+    with pytest.raises(ConfigError, match="washout"):
+        measure(np.full((INPUTS_20.size, 4), 0.25), cfg, washout)
+
+
 _PROBABILITY = hst.floats(0.0, 1.0)
 _FLIP = hst.floats(0.0, 0.2)
 
