@@ -1,4 +1,5 @@
 """Benchmark generators and the echo-state-network baseline."""
+import itertools
 from contextlib import nullcontext
 
 import numpy as np
@@ -305,19 +306,20 @@ def _per_radius_sweep(u, y, split, node_counts, radii, trials, style, seed):
 def test_esn_sweep_chunks_equal_the_per_radius_loop(monkeypatch, budget):
     # 7 radii at 2 nodes x 2 trials x 50 rows fill chunks of 1 radius, of
     # 600 // 300 = 2 radii (the last chunk holds one) or of all 7; the NMSEs
-    # are bit for bit those of one radius at a time
+    # are bit for bit those of one radius at a time. Node counts (3, 2) run
+    # the smaller design after the larger one.
     monkeypatch.setattr(benchmarks, "DESIGN_BUDGET", budget)
     u, y2 = narma_task(2, length=50)
     ys = np.stack([y2, narma_task(5, length=50)[1]])
     radii = (0.1, 0.25, 0.4, 0.55, 0.7, 0.85, 1.0)
     split = (5, 30, 15)
-    for style in ("01", "pm1"):
-        reports = esn_sweep(u, ys, split, node_counts=(2, 3), radii=radii,
+    for nodes, style in itertools.product(((2, 3), (3, 2)), ("01", "pm1")):
+        reports = esn_sweep(u, ys, split, node_counts=nodes, radii=radii,
                             trials=2, input_weight_style=style, seed=4)
         assert isinstance(reports, tuple) and len(reports) == 2
         for y, rep in zip(ys, reports):
-            want = _per_radius_sweep(u, y, split, (2, 3), radii, 2, style, 4)
-            single = esn_sweep(u, y, split, node_counts=(2, 3), radii=radii,
+            want = _per_radius_sweep(u, y, split, nodes, radii, 2, style, 4)
+            single = esn_sweep(u, y, split, node_counts=nodes, radii=radii,
                                trials=2, input_weight_style=style, seed=4)
             for grid, got, alone in zip(want, rep.results, single.results):
                 assert np.array_equal(got.nmse, grid)
@@ -325,6 +327,41 @@ def test_esn_sweep_chunks_equal_the_per_radius_loop(monkeypatch, budget):
                 assert np.array_equal(got.per_radius_mean, grid.mean(axis=1))
                 assert got.global_average == alone.global_average
                 assert got.best_radius == alone.best_radius
+
+
+def test_esn_sweep_fills_one_design_buffer_per_node_count(monkeypatch):
+    # a budget of 700 takes the 7 radii at 2 trials x 50 rows in chunks of
+    # 700 // 300 = 2 radii at 2 nodes (4 chunks, the last holding one) and of
+    # 700 // 400 = 1 radius at 3 nodes. Each chunk's design must be written
+    # into its node count's one buffer, which is poisoned with NaN before
+    # every chunk, so an entry left from an earlier chunk would reach an NMSE.
+    monkeypatch.setattr(benchmarks, "DESIGN_BUDGET", 700)
+    chunk_nmse = benchmarks._chunk_nmse
+    bufs, used = {2: [], 3: []}, {2: [], 3: []}
+
+    def recording(ws, wins, scale, u, ys, tr, te, energy, buf):
+        nodes = wins.shape[1]
+        size = scale.size * u.size * (nodes + 1)
+        bufs[nodes].append(buf)
+        used[nodes].append(size)
+        buf.fill(np.nan)
+        nmse = chunk_nmse(ws, wins, scale, u, ys, tr, te, energy, buf)
+        assert np.isfinite(buf[:size]).all()
+        return nmse
+
+    monkeypatch.setattr(benchmarks, "_chunk_nmse", recording)
+    u, y = narma_task(2, length=50)
+    radii = (0.1, 0.25, 0.4, 0.55, 0.7, 0.85, 1.0)
+    rep = esn_sweep(u, y, (5, 30, 15), node_counts=(2, 3), radii=radii,
+                    trials=2, seed=4)
+    assert used == {2: [600, 600, 600, 300], 3: [400] * 7}
+    for nodes, sizes in used.items():
+        assert all(buf is bufs[nodes][0] for buf in bufs[nodes])
+        assert bufs[nodes][0].shape == (sizes[0],)
+    assert bufs[2][0] is not bufs[3][0]
+    want = _per_radius_sweep(u, y, (5, 30, 15), (2, 3), radii, 2, "pm1", 4)
+    for grid, got in zip(want, rep.results):
+        assert np.array_equal(got.nmse, grid)
 
 
 def test_radius_grid_pins_the_default_and_rejects_bad_grids():
