@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .engine import check_split
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, check_count
 from .readout import DEFAULT_RCOND, check_labels
 
 DIVERGENCE_LIMIT = 1e6
@@ -41,8 +41,8 @@ class InputSignalSpec:
     t_start: int = 1
 
     def __post_init__(self):
-        if self.length < 1:
-            raise ConfigError(f"length must be >= 1, got {self.length}")
+        object.__setattr__(self, "length", check_count(self.length, "length", 1))
+        object.__setattr__(self, "t_start", check_count(self.t_start, "t_start", None))
 
 
 def input_signal_value(t) -> np.ndarray:
@@ -69,8 +69,7 @@ class NarmaSpec:
     order: int = 2
 
     def __post_init__(self):
-        if self.order < 1:
-            raise ConfigError(f"order must be >= 1, got {self.order}")
+        object.__setattr__(self, "order", check_count(self.order, "order", 1))
 
     @classmethod
     def narma2(cls) -> "NarmaSpec":
@@ -164,8 +163,10 @@ def gen_synthetic_sensor(num_classes: int = 3, samples_per_class: int = 20,
                          noise_amplitude: float = 0.02) -> LabeledSeriesDataset:
     """Pulse-shaped waveforms (distinct rise/peak/decay per class) plus seeded
     additive noise. Purely synthetic stand-in for real sensor recordings."""
-    if num_classes < 2:
-        raise ValueError(f"need at least 2 classes, got {num_classes}")
+    num_classes = check_count(num_classes, "num_classes", 2, ValueError)
+    samples_per_class = check_count(samples_per_class, "samples_per_class", 1,
+                                    ValueError)
+    timesteps = check_count(timesteps, "timesteps", 1, ValueError)
     series = np.empty((num_classes * samples_per_class, timesteps))
     for c in range(num_classes):
         mean = class_mean_waveform(c, timesteps)
@@ -224,23 +225,21 @@ class EsnSweepReport:
 
 
 def check_esn_grid(node_counts, radii, input_weight_style: str,
-                   trials: int) -> None:
-    """Raise ConfigError unless the grid, weight style and trial count are valid."""
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
+                   trials: int) -> tuple:
+    """The node counts (a tuple) and the trial count as ints; ConfigError
+    unless the grid, weight style and trial count are valid."""
+    trials = check_count(trials, "trials", 1)
     if not node_counts or not radii:
         raise ConfigError("node_counts and radii must be non-empty")
-    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-               for v in node_counts):
-        raise ConfigError(f"node counts must be integers, got {tuple(node_counts)}")
-    if min(node_counts) < 1:
-        raise ConfigError(f"node counts must be >= 1, got {tuple(node_counts)}")
+    node_counts = tuple(check_count(v, "each of the node counts", 1)
+                        for v in node_counts)
     if not all(0 < r < np.inf for r in radii):
         raise ConfigError(f"spectral radii must be finite and > 0, got {tuple(radii)}")
     if input_weight_style not in ("pm1", "01"):
         raise ConfigError(
             f"input_weight_style must be 'pm1' or '01', got "
             f"{input_weight_style!r}")
+    return node_counts, trials
 
 
 def _sweep_data(inputs, targets):
@@ -366,7 +365,8 @@ def esn_sweep(inputs, targets, split, node_counts=DEFAULT_NODE_COUNTS,
     """
     u, targets = _sweep_data(inputs, targets)
     ys = np.atleast_2d(targets)
-    check_esn_grid(node_counts, radii, input_weight_style, trials)
+    node_counts, trials = check_esn_grid(node_counts, radii, input_weight_style,
+                                         trials)
     m = u.size
     washout, train, test = check_split(split, m)
     tr = slice(washout, washout + train)
@@ -394,7 +394,7 @@ def esn_sweep(inputs, targets, split, node_counts=DEFAULT_NODE_COUNTS,
                 per_radius = grid.mean(axis=1)
                 best = int(per_radius.argmin())
                 results[k].append(EsnNodeResult(
-                    nodes=int(nodes),
+                    nodes=nodes,
                     global_average=float(grid.mean()),
                     global_minimum=float(per_radius[best]),
                     best_radius=float(radii[best]),

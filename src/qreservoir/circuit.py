@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_count
+
 # The pair block in order: (gate, pair positions), 0 standing for i, 1 for j.
 PAIR_BLOCK = (("rx", (0,)), ("rx", (1,)), ("cx", (0, 1)), ("rz", (1,)),
               ("cx", (0, 1)))
@@ -26,9 +28,10 @@ class SubsystemLayout:
         pairs = tuple((operator.index(i), operator.index(j))
                       for i, j in self.pairs)
         object.__setattr__(self, "pairs", pairs)
-        n = self.num_qubits
-        if n < 2 or n % 2 != 0:
-            raise ValueError(f"need an even number of qubits >= 2, got {n}")
+        n = check_count(self.num_qubits, "num_qubits", 2, ValueError)
+        object.__setattr__(self, "num_qubits", n)
+        if n % 2 != 0:
+            raise ValueError(f"need an even number of qubits, got {n}")
         if len(pairs) != n // 2:
             raise ValueError(f"need {n // 2} pairs for {n} qubits, got {len(pairs)}")
         seen = [q for pair in pairs for q in pair]

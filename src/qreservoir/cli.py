@@ -24,7 +24,7 @@ from .benchmarks import (DEFAULT_NODE_COUNTS, DEFAULT_RADIUS_GRID,
 from .circuit import SubsystemLayout, export_qasm
 from .engine import (EXACT, FeatureSeries, ReservoirConfig, check_split,
                      run_reservoir, split_series)
-from .errors import ConfigError, QReservoirError
+from .errors import ConfigError, QReservoirError, check_count
 from .inifile import parse_pairs, read_ini
 from .noise import DeviceNoiseProfile, load_noise_profile, zero_noise
 from .qstate import check_capacity
@@ -33,6 +33,14 @@ from .readout import (fit_classifier, fit_linear_baseline, fit_regression,
 
 _NARMA_ORDERS = {"narma2": 2, "narma5": 5, "narma10": 10}
 _LEARNING_TASKS = (*_NARMA_ORDERS, "classify")
+# (ExperimentConfig field, least value) of each integral field but num_qubits,
+# whose range check_capacity sets; None bounds nothing
+_COUNT_FIELDS = (
+    ("seed", 0), ("trials", 1), ("washout", 0), ("train", 1), ("test", 1),
+    ("input_length", 1), ("t_start", None), ("lr_feature_lag", 0),
+    ("num_classes", 2), ("samples_per_class", 1), ("timesteps", 1),
+    ("folds", 2), ("class_washout", 0), ("esn_narma_order", 1),
+    ("esn_trials", 1))
 NULL_RUN_WARNING = (
     "warning: the noise profile has gamma_idle = 0, so the features carry no "
     "information (without idle damping the pair X-parity is conserved: the "
@@ -84,24 +92,23 @@ class ExperimentConfig:
         if self.task not in TASKS:
             raise ConfigError(
                 f"unknown task {self.task!r}; valid tasks: {', '.join(TASKS)}")
-        for name, low in (("trials", 1), ("lr_feature_lag", 0), ("class_washout", 0),
-                          ("num_classes", 2), ("esn_narma_order", 1)):
-            if getattr(self, name) < low:
-                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        # reject what the run would only fail on after its first outputs, and
+        # store each count as an int, as the JSON writers need
+        for name, low in _COUNT_FIELDS:
+            object.__setattr__(self, name, check_count(getattr(self, name), name, low))
+        object.__setattr__(self, "num_qubits", check_capacity(self.num_qubits))
         if self.scale is None:
             object.__setattr__(
                 self, "scale", math.pi if self.task == "classify" else 2.0)
-        # reject what the run would only fail on after its first outputs
-        check_capacity(self.num_qubits)
         try:
             reservoir = self.reservoir(self.seed)  # layout, scale and shots
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         object.__setattr__(self, "shots", reservoir.shots)
         self.profile.topology.check_register(self.num_qubits)
-        if self.task == "classify" and not 2 <= self.folds <= self.samples_per_class:
+        if self.task == "classify" and self.folds > self.samples_per_class:
             raise ConfigError(
-                f"classify needs 2 <= folds <= samples_per_class, got "
+                f"classify needs folds <= samples_per_class, got "
                 f"folds = {self.folds}, samples_per_class = {self.samples_per_class}")
         if self.task == "classify" and self.class_washout >= self.timesteps - 1:
             raise ConfigError(

@@ -4,14 +4,13 @@ Measurement never back-acts: each timestep is a fresh circuit run on hardware.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
 
 from .circuit import SubsystemLayout, build_layer
-from .errors import ConfigError, CorruptedStateError
+from .errors import ConfigError, CorruptedStateError, check_count
 from .noise import (DeviceNoiseProfile, apply_device_noise,
                     idle_damped_populations, zero_noise)
 from .qstate import (batch_size, check_capacity, pauli_z_expectations,
@@ -22,18 +21,6 @@ EXACT = "exact"
 # diagonal clipping: tiny negatives are floating-point drift, larger are bugs
 _CLIP_TOL = 1e-9
 _MASS_TOL = 1e-6
-
-
-def _shot_count(shots) -> int:
-    """`shots` as an int: an integral count >= 1 that is not a bool, else
-    ValueError."""
-    try:
-        count = 0 if isinstance(shots, bool) else operator.index(shots)
-    except TypeError:
-        count = 0
-    if count < 1:
-        raise ValueError(f"shots must be a positive int, got {shots!r}")
-    return count
 
 
 @dataclass(frozen=True)
@@ -48,13 +35,8 @@ class ReservoirConfig:
         if not np.isfinite(self.scale):
             raise ConfigError(f"scale must be finite, got {self.scale}")
         if self.shots != EXACT:
-            try:
-                object.__setattr__(self, "shots", _shot_count(self.shots))
-            except ValueError:
-                raise ConfigError(f"shots must be 'exact' or a positive int, "
-                                  f"got {self.shots!r}") from None
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+            object.__setattr__(self, "shots", check_count(self.shots, "shots", 1))
+        object.__setattr__(self, "seed", check_count(self.seed, "seed", 0))
 
     @property
     def exact(self) -> bool:
@@ -111,7 +93,7 @@ def sample_bitstrings(populations, shots: int, readout_flip,
     below r01 for a 0 and r10 for a 1: `low ^ ((low ^ high) & bit)` selects
     `low = draw < r01` or `high = draw < r10`, never interpolating.
     """
-    shots = _shot_count(shots)
+    shots = check_count(shots, "shots", 1, ValueError)
     probs = np.array(populations, dtype=np.float64)
     n = population_qubits(probs)
     if not np.isfinite(probs).all():
@@ -159,17 +141,12 @@ def _check_inputs(inputs) -> np.ndarray:
 
 
 def _check_washout(washout, timesteps: int) -> int:
-    """`washout` as an int that leaves at least one of `timesteps` rows: an
-    integral count >= 0 that is not a bool, else ConfigError."""
-    try:
-        count = -1 if isinstance(washout, bool) else operator.index(washout)
-    except TypeError:
-        count = -1
-    if count < 0:
-        raise ConfigError(f"washout must be an int >= 0, got {washout!r}")
-    if count >= timesteps:
-        raise ConfigError(f"washout {count} leaves no row of {timesteps}")
-    return count
+    """`washout` as a count >= 0 that leaves at least one of `timesteps` rows,
+    else ConfigError."""
+    washout = check_count(washout, "washout", 0)
+    if washout >= timesteps:
+        raise ConfigError(f"washout {washout} leaves no row of {timesteps}")
+    return washout
 
 
 def evolve(inputs, config: ReservoirConfig) -> np.ndarray:
@@ -281,13 +258,11 @@ def feature_rows(features) -> np.ndarray:
 
 
 def check_split(split, length: int) -> tuple:
-    """The (washout, train, test) triple; ConfigError unless washout >= 0,
-    train >= 1, test >= 1 and together they fit in `length` rows."""
-    washout, train, test = split
-    for name, v, low in (("washout", washout, 0), ("train", train, 1),
-                         ("test", test, 1)):
-        if v < low:
-            raise ConfigError(f"{name} must be >= {low}, got {v}")
+    """The (washout, train, test) triple as ints; ConfigError unless they are
+    counts with washout >= 0, train >= 1 and test >= 1 that together fit in
+    `length` rows."""
+    washout, train, test = (check_count(v, name, low) for v, name, low in zip(
+        split, ("washout", "train", "test"), (0, 1, 1), strict=True))
     total = washout + train + test
     if total > length:
         raise ConfigError(f"windows need {total} rows, series has {length}")

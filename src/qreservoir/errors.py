@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the rule for integral counts."""
+import operator
 
 
 class QReservoirError(Exception):
@@ -27,3 +28,19 @@ class ProfileError(QReservoirError):
 
 class ConfigError(QReservoirError):
     """Experiment configuration is malformed or inconsistent."""
+
+
+def check_count(value, name: str, low, error=ConfigError) -> int:
+    """`value` as a Python int: an integral value of at least `low` (any, when
+    `low` is None), else `error`. Numpy integers are counts; bools, floats,
+    strings and None are not."""
+    if not isinstance(value, bool):
+        try:
+            count = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if low is None or count >= low:
+                return count
+    bound = "" if low is None else f" >= {low}"
+    raise error(f"{name} must be an integer{bound}, got {value!r}")

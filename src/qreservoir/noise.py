@@ -13,7 +13,7 @@ from itertools import islice, product
 
 import numpy as np
 
-from .errors import CorruptedStateError, ProfileError
+from .errors import CorruptedStateError, ProfileError, check_count
 from .circuit import SubsystemLayout
 from .inifile import parse_pairs, read_ini
 from .qstate import HERMITICITY_TOL, TRACE_TOL, KrausChannel
@@ -41,9 +41,8 @@ class Topology:
     edges: tuple
 
     def __post_init__(self):
-        n = self.num_qubits
-        if n < 0:
-            raise ProfileError(f"topology num_qubits must be >= 0, got {n}")
+        n = check_count(self.num_qubits, "topology num_qubits", 0, ProfileError)
+        object.__setattr__(self, "num_qubits", n)
         norm = []
         for e in self.edges:
             i, j = operator.index(e[0]), operator.index(e[1])

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CapacityError, InvalidChannelError
+from .errors import CapacityError, InvalidChannelError, check_count
 
 MAX_QUBITS = 14
 
@@ -50,17 +50,19 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def check_capacity(n) -> None:
-    """Raise CapacityError unless n is a register size dense simulation supports:
-    in [1, MAX_QUBITS], with a trajectory's footprint within physical memory."""
-    if not isinstance(n, int) or not 1 <= n <= MAX_QUBITS:
-        raise CapacityError(f"num_qubits must be in [1, {MAX_QUBITS}], got {n!r}")
+def check_capacity(n) -> int:
+    """n as an int if dense simulation supports it: in [1, MAX_QUBITS], with a
+    trajectory's footprint within physical memory; else CapacityError."""
+    n = check_count(n, "num_qubits", 1, CapacityError)
+    if n > MAX_QUBITS:
+        raise CapacityError(f"num_qubits must be <= {MAX_QUBITS}, got {n}")
     need = trajectory_bytes(n)
     have = _physical_memory()
     if need > have:
         raise CapacityError(
             f"num_qubits = {n} needs about {need / 1e9:.1f} GB for a "
             f"trajectory, more than the {have / 1e9:.1f} GB of physical memory")
+    return n
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,8 +73,8 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        n = self.num_qubits
-        check_capacity(n)
+        n = check_capacity(self.num_qubits)
+        object.__setattr__(self, "num_qubits", n)
         m = _as_complex(self.matrix)
         object.__setattr__(self, "matrix", m)
         d = 1 << n
@@ -86,10 +88,6 @@ class DensityMatrix:
             raise ValueError(f"trace must be 1, got {tr!r}")
 
     @property
-    def dim(self) -> int:
-        return 1 << self.num_qubits
-
-    @property
     def populations(self) -> np.ndarray:
         """diag(rho) as floats: the computational-basis outcome probabilities."""
         return np.real(np.diagonal(self.matrix))
@@ -97,7 +95,7 @@ class DensityMatrix:
 
 def plus_state(n: int) -> DensityMatrix:
     """|+><+| on every qubit: the uniform matrix with all entries 1/2^n."""
-    check_capacity(n)
+    n = check_capacity(n)
     d = 1 << n
     return DensityMatrix(n, np.full((d, d), 1.0 / d, dtype=np.complex128))
 

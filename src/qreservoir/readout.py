@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import check_split, feature_rows
+from .errors import check_count
 
 DEFAULT_RCOND = 1e-10
 
@@ -168,8 +169,7 @@ def stratified_folds(labels, k: int, seed: int = 0):
     """Deterministic stratified partition: per class, seeded shuffle then
     round-robin deal. Returns a list of k index arrays."""
     labels = check_labels(labels)
-    if k < 2:
-        raise ValueError(f"need k >= 2 folds, got {k}")
+    k = check_count(k, "k", 2, ValueError)
     rng = np.random.default_rng(seed)
     folds = [[] for _ in range(k)]
     for c in np.unique(labels):

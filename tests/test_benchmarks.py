@@ -267,7 +267,7 @@ def test_esn_sweep_validation():
         esn_sweep(u, y[None, None, :], (5, 20, 5), **grid)
     with pytest.raises(ConfigError, match="inputs must be 1-d"):
         esn_sweep(u[None, :], y, (5, 20, 5), **grid)
-    with pytest.raises(ConfigError, match="node counts must be integers"):
+    with pytest.raises(ConfigError, match="node counts must be an integer"):
         esn_sweep(u, y, (5, 20, 5), node_counts=(2.5,), radii=(0.5,), trials=1)
 
 

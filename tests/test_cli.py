@@ -573,7 +573,7 @@ def test_main_seed_override_changes_manifest(tmp_path, capsys):
 def test_negative_seed_fails_before_any_output(tmp_path, capsys):
     # numpy's SeedSequence rejects a negative seed only once the run has
     # started; the config must refuse it first, from the file or --seed
-    with pytest.raises(ConfigError, match="seed must be >= 0"):
+    with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
         parse_config(write_narma_config(tmp_path, seed=-1))
     out = tmp_path / "seeded"
     assert main(["run", "--config", str(write_narma_config(tmp_path)),

@@ -405,7 +405,7 @@ def test_reservoir_config_validation():
         ReservoirConfig(layout, scale=2.0, shots=0)
     with pytest.raises(ConfigError):
         ReservoirConfig(layout, scale=2.0, shots="approx")
-    with pytest.raises(ConfigError, match="seed must be >= 0"):
+    with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
         ReservoirConfig(layout, scale=2.0, seed=-1)
     assert ReservoirConfig(layout, scale=2.0).exact
     assert not ReservoirConfig(layout, scale=2.0, shots=100).exact
